@@ -1747,22 +1747,22 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
 
 // Sharded-serving scenario (bench=serve_sharded rows): the three-layer
 // stack -- ShardRouter (consistent hashing on (scheme_id, root)), the
-// aggregating front-end's per-destination-shard outboxes, and the
-// OracleShard fleet -- swept over shards {1, 2, 4} x aggregation {on, off}
-// with the global cache budget split evenly across shards. The workload is
-// cross-shard-heavy by construction: 6/8 of queries are tree_batch fan-outs
-// over kShardFanout roots drawn uniformly from the whole vertex set (at 4
-// shards nearly every query touches every shard), 1/8 point distances and
-// 1/8 replacement distances off the hot set. Aggregation off is the naive
-// front-end baseline -- every routed sub-query is its own serve_batch
-// submission -- so the aggregation win is measured, not assumed.
+// group-by-shard front-end (one serve_batch per touched shard), and the
+// OracleShard fleet -- swept over shards {1, 2, 4} with the global cache
+// budget split evenly across shards. The workload is cross-shard-heavy by
+// construction: 6/8 of queries are tree_batch fan-outs over kShardFanout
+// roots drawn uniformly from the whole vertex set (at 4 shards nearly every
+// query touches every shard), 1/8 point distances and 1/8 replacement
+// distances off the hot set. A naive front-end would issue one submission
+// per routed sub-query; the rows record how far below that the
+// group-by-shard rule runs.
 //
 // Judged signals, asserted by CI on the --small artifact:
-//   (a) the deterministic sample stream is bit-identical across ALL six
-//       configs at a thread count (reference: shards=1, aggregation off) --
-//       sharding repartitions work, it never changes answers;
-//   (b) the baseline runs at exactly one submission per routed sub-query
-//       while aggregation batches below 1 and cuts submissions >= 2x;
+//   (a) the deterministic sample stream is bit-identical across ALL three
+//       configs at a thread count (reference: shards=1) -- sharding
+//       repartitions work, it never changes answers;
+//   (b) the front-end batches below one submission per routed sub-query
+//       and at most half of them (>= 2x fewer than one per sub-query);
 //   (c) a churn phase flaps a hot tree edge through the front-end's
 //       epoch-coherent fan-out, and every sampled answer of every phase
 //       matches a from-scratch rebuild of that phase's topology.
@@ -1872,161 +1872,150 @@ void bench_sharded(Table& sharded_table, JsonRows& json, const Options& opt,
   for (int threads : opt.threads) {
     const ThreadSplit ts = split_threads(threads);
     const BatchSsspEngine engine(ts.engine);
-    // Digest stream of the (shards=1, aggregation off) config: the
-    // reference every other config must match element-wise. Sample order is
-    // deterministic (phases sequential, per-worker vectors merged in worker
-    // order), so positional comparison is exact.
+    // Digest stream of the shards=1 config: the reference every other
+    // config must match element-wise. Sample order is deterministic (phases
+    // sequential, per-worker vectors merged in worker order), so positional
+    // comparison is exact.
     std::vector<uint64_t> ref_digests;
     for (const size_t shards_n : {size_t{1}, size_t{2}, size_t{4}}) {
-      for (const bool agg : {false, true}) {
-        Graph g = g0;  // private copy: the churn phases mutate it
-        const IsolationRpts pi(g, IsolationAtw(7));
-        FrontEndConfig fc;
-        fc.num_shards = shards_n;
-        fc.enable_aggregation = agg;
-        fc.flush_timeout_us = 100;
-        fc.shard.cache.shards = opt.shards;
-        fc.shard.cache.byte_budget = (opt.budget_mb << 20) / shards_n;
-        fc.shard.max_batch = opt.max_batch;
-        fc.shard.engine = &engine;
-        fc.tracer = sinks.tracer;
-        ShardAggregator fe(pi, fc);
+      Graph g = g0;  // private copy: the churn phases mutate it
+      const IsolationRpts pi(g, IsolationAtw(7));
+      FrontEndConfig fc;
+      fc.num_shards = shards_n;
+      fc.shard.cache.shards = opt.shards;
+      fc.shard.cache.byte_budget = (opt.budget_mb << 20) / shards_n;
+      fc.shard.max_batch = opt.max_batch;
+      fc.shard.engine = &engine;
+      fc.tracer = sinks.tracer;
+      ShardAggregator fe(pi, fc);
 
-        std::vector<Sample> samples;
-        std::vector<double> steady_lat;
-        double steady_wall_ms = 0;
-        auto run_phase = [&](uint64_t phase_tag, size_t nq, bool steady) {
-          const size_t per_thread =
-              std::max<size_t>(1, nq / static_cast<size_t>(ts.drivers));
-          std::vector<std::vector<double>> lat(ts.drivers);
-          std::vector<std::vector<Sample>> sm(ts.drivers);
-          Stopwatch wall;
-          std::vector<std::thread> workers;
-          workers.reserve(ts.drivers);
-          for (int w = 0; w < ts.drivers; ++w) {
-            workers.emplace_back([&, w, phase_tag, per_thread] {
-              lat[w].reserve(per_thread);
-              for (size_t i = 0; i < per_thread; ++i) {
-                const uint64_t seq =
-                    (phase_tag * static_cast<uint64_t>(ts.drivers) +
-                     static_cast<uint64_t>(w)) *
-                        per_thread +
-                    i;
-                const SQuery q = make_squery(seq);
-                Stopwatch sw;
-                const uint64_t got = run_squery(fe, q);
-                lat[w].push_back(sw.micros());
-                if (i % 4 == 0) sm[w].push_back({phase_tag, seq, got});
-              }
-            });
-          }
-          for (auto& t : workers) t.join();
-          const double wall_ms = wall.millis();
-          for (auto& s : sm) samples.insert(samples.end(), s.begin(), s.end());
-          if (steady) {
-            steady_wall_ms = wall_ms;
-            for (auto& l : lat)
-              steady_lat.insert(steady_lat.end(), l.begin(), l.end());
-          }
-        };
-
-        // Phase 0: steady state on the pristine topology (the timed
-        // window). Then sflaps churn phases, each after one edge flap
-        // applied through the epoch-coherent fan-out.
-        run_phase(0, sq, true);
-        uint64_t carried = 0, invalidated = 0, prewarmed = 0, repaired = 0;
-        for (size_t f = 0; f < sflaps; ++f) {
-          const UpdateResult ur =
-              f % 2 == 0 ? fe.apply_update(g, GraphDelta::remove(victim))
-                         : fe.apply_update(g, GraphDelta::insert(ends.u,
-                                                                 ends.v));
-          carried += ur.carried;
-          invalidated += ur.invalidated;
-          prewarmed += ur.prewarmed;
-          repaired += ur.repaired;
-          run_phase(f + 1, cq, false);
+      std::vector<Sample> samples;
+      std::vector<double> steady_lat;
+      double steady_wall_ms = 0;
+      auto run_phase = [&](uint64_t phase_tag, size_t nq, bool steady) {
+        const size_t per_thread =
+            std::max<size_t>(1, nq / static_cast<size_t>(ts.drivers));
+        std::vector<std::vector<double>> lat(ts.drivers);
+        std::vector<std::vector<Sample>> sm(ts.drivers);
+        Stopwatch wall;
+        std::vector<std::thread> workers;
+        workers.reserve(ts.drivers);
+        for (int w = 0; w < ts.drivers; ++w) {
+          workers.emplace_back([&, w, phase_tag, per_thread] {
+            lat[w].reserve(per_thread);
+            for (size_t i = 0; i < per_thread; ++i) {
+              const uint64_t seq =
+                  (phase_tag * static_cast<uint64_t>(ts.drivers) +
+                   static_cast<uint64_t>(w)) *
+                      per_thread +
+                  i;
+              const SQuery q = make_squery(seq);
+              Stopwatch sw;
+              const uint64_t got = run_squery(fe, q);
+              lat[w].push_back(sw.micros());
+              if (i % 4 == 0) sm[w].push_back({phase_tag, seq, got});
+            }
+          });
         }
-
-        // Audits, outside every timing window. Phase p odd = victim
-        // removed, even = healed back to pristine.
-        size_t checked = 0, correct = 0;
-        for (const Sample& s : samples) {
-          ++checked;
-          const IRpts& ref = s.phase % 2 == 1 ? removed_ref : full_ref;
-          if (s.digest == ref_squery(ref, make_squery(s.seq))) ++correct;
+        for (auto& t : workers) t.join();
+        const double wall_ms = wall.millis();
+        for (auto& s : sm) samples.insert(samples.end(), s.begin(), s.end());
+        if (steady) {
+          steady_wall_ms = wall_ms;
+          for (auto& l : lat)
+            steady_lat.insert(steady_lat.end(), l.begin(), l.end());
         }
-        uint64_t match = 0;
-        if (ref_digests.empty()) {
-          for (const Sample& s : samples) ref_digests.push_back(s.digest);
-          match = samples.size();
-        } else if (ref_digests.size() == samples.size()) {
-          for (size_t i = 0; i < samples.size(); ++i)
-            if (samples[i].digest == ref_digests[i]) ++match;
-        }
+      };
 
-        const FrontEndStats fs = fe.stats();
-        Measurement m;
-        m.wall_ms = steady_wall_ms;
-        std::sort(steady_lat.begin(), steady_lat.end());
-        m.p50_us = steady_lat[steady_lat.size() / 2];
-        m.p99_us = steady_lat[std::min(steady_lat.size() - 1,
-                                       steady_lat.size() * 99 / 100)];
-        m.qps = static_cast<double>(steady_lat.size()) / (m.wall_ms / 1e3);
-        const double subs_per_subq =
-            fs.subqueries > 0
-                ? static_cast<double>(fs.submissions) /
-                      static_cast<double>(fs.subqueries)
-                : 0;
-        const std::string mode = "shards" + std::to_string(shards_n) +
-                                 (agg ? "_agg" : "_direct");
-        dump_registry(sinks, fe.metrics(), "serve_sharded", family, threads,
-                      mode);
-        sharded_table.add_row(
-            family, threads, static_cast<uint64_t>(shards_n),
-            agg ? "on" : "off", m.qps, fs.subqueries, fs.submissions,
-            subs_per_subq, fs.remote_hits,
-            match == samples.size() && correct == checked ? "yes" : "NO");
-        json.row()
-            .field("bench", "serve_sharded")
-            .field("family", family)
-            .field("n", static_cast<uint64_t>(g0.num_vertices()))
-            .field("m", static_cast<uint64_t>(g0.num_edges()))
-            .field("threads", threads)
-            .field("driver_threads", ts.drivers)
-            .field("engine_threads", ts.engine)
-            .field("shards", static_cast<uint64_t>(shards_n))
-            .field("aggregation", static_cast<uint64_t>(agg ? 1 : 0))
-            .field("mode", mode)
-            .field("metrics", metrics_build())
-            .field("seed", opt.seed)
-            .field("fanout_k", static_cast<uint64_t>(kShardFanout))
-            .field("queries", fs.queries)
-            .field("subqueries", fs.subqueries)
-            .field("submissions", fs.submissions)
-            .field("submissions_per_subquery", subs_per_subq)
-            .field("remote_hits", fs.remote_hits)
-            .field("aggregated", fs.aggregated)
-            .field("flush_capacity", fs.flush_capacity_trigger)
-            .field("flush_timeout", fs.flush_timeout_trigger)
-            .field("flush_explicit", fs.flush_explicit_trigger)
-            .field("fanouts", fs.fanouts)
-            .field("routed_epoch", fe.routed_epoch())
-            .field("qps", m.qps)
-            .field("p50_us", m.p50_us)
-            .field("p99_us", m.p99_us)
-            .field("flaps", static_cast<uint64_t>(sflaps))
-            .field("carried", carried)
-            .field("invalidated", invalidated)
-            .field("prewarmed", prewarmed)
-            .field("repaired", repaired)
-            .field("samples", static_cast<uint64_t>(samples.size()))
-            .field("samples_match", match)
-            .field("checked", static_cast<uint64_t>(checked))
-            .field("correct", static_cast<uint64_t>(correct))
-            .field("hw_threads",
-                   static_cast<uint64_t>(
-                       std::thread::hardware_concurrency()));
+      // Phase 0: steady state on the pristine topology (the timed
+      // window). Then sflaps churn phases, each after one edge flap
+      // applied through the epoch-coherent fan-out.
+      run_phase(0, sq, true);
+      uint64_t carried = 0, invalidated = 0, prewarmed = 0, repaired = 0;
+      for (size_t f = 0; f < sflaps; ++f) {
+        const UpdateResult ur =
+            f % 2 == 0 ? fe.apply_update(g, GraphDelta::remove(victim))
+                       : fe.apply_update(g, GraphDelta::insert(ends.u,
+                                                               ends.v));
+        carried += ur.carried;
+        invalidated += ur.invalidated;
+        prewarmed += ur.prewarmed;
+        repaired += ur.repaired;
+        run_phase(f + 1, cq, false);
       }
+
+      // Audits, outside every timing window. Phase p odd = victim
+      // removed, even = healed back to pristine.
+      size_t checked = 0, correct = 0;
+      for (const Sample& s : samples) {
+        ++checked;
+        const IRpts& ref = s.phase % 2 == 1 ? removed_ref : full_ref;
+        if (s.digest == ref_squery(ref, make_squery(s.seq))) ++correct;
+      }
+      uint64_t match = 0;
+      if (ref_digests.empty()) {
+        for (const Sample& s : samples) ref_digests.push_back(s.digest);
+        match = samples.size();
+      } else if (ref_digests.size() == samples.size()) {
+        for (size_t i = 0; i < samples.size(); ++i)
+          if (samples[i].digest == ref_digests[i]) ++match;
+      }
+
+      const FrontEndStats fs = fe.stats();
+      Measurement m;
+      m.wall_ms = steady_wall_ms;
+      std::sort(steady_lat.begin(), steady_lat.end());
+      m.p50_us = steady_lat[steady_lat.size() / 2];
+      m.p99_us = steady_lat[std::min(steady_lat.size() - 1,
+                                     steady_lat.size() * 99 / 100)];
+      m.qps = static_cast<double>(steady_lat.size()) / (m.wall_ms / 1e3);
+      const double subs_per_subq =
+          fs.subqueries > 0
+              ? static_cast<double>(fs.submissions) /
+                    static_cast<double>(fs.subqueries)
+              : 0;
+      const std::string mode = "shards" + std::to_string(shards_n);
+      dump_registry(sinks, fe.metrics(), "serve_sharded", family, threads,
+                    mode);
+      sharded_table.add_row(
+          family, threads, static_cast<uint64_t>(shards_n), m.qps, fs.subqueries, fs.submissions,
+          subs_per_subq, fs.remote_hits,
+          match == samples.size() && correct == checked ? "yes" : "NO");
+      json.row()
+          .field("bench", "serve_sharded")
+          .field("family", family)
+          .field("n", static_cast<uint64_t>(g0.num_vertices()))
+          .field("m", static_cast<uint64_t>(g0.num_edges()))
+          .field("threads", threads)
+          .field("driver_threads", ts.drivers)
+          .field("engine_threads", ts.engine)
+          .field("shards", static_cast<uint64_t>(shards_n))
+          .field("mode", mode)
+          .field("metrics", metrics_build())
+          .field("seed", opt.seed)
+          .field("fanout_k", static_cast<uint64_t>(kShardFanout))
+          .field("queries", fs.queries)
+          .field("subqueries", fs.subqueries)
+          .field("submissions", fs.submissions)
+          .field("submissions_per_subquery", subs_per_subq)
+          .field("remote_hits", fs.remote_hits)
+          .field("aggregated", fs.aggregated)
+          .field("fanouts", fs.fanouts)
+          .field("routed_epoch", fe.routed_epoch())
+          .field("qps", m.qps)
+          .field("p50_us", m.p50_us)
+          .field("p99_us", m.p99_us)
+          .field("flaps", static_cast<uint64_t>(sflaps))
+          .field("carried", carried)
+          .field("invalidated", invalidated)
+          .field("prewarmed", prewarmed)
+          .field("repaired", repaired)
+          .field("samples", static_cast<uint64_t>(samples.size()))
+          .field("samples_match", match)
+          .field("checked", static_cast<uint64_t>(checked))
+          .field("correct", static_cast<uint64_t>(correct))
+          .field("hw_threads",
+                 static_cast<uint64_t>(std::thread::hardware_concurrency()));
     }
   }
 }
@@ -2052,7 +2041,7 @@ int run(const Options& opt) {
                    "carried_frac", "hit_rate", "max_excess", "in_bound"});
   Table large_table({"family", "n", "threads", "mode", "qps", "hit_rate",
                      "trees", "bytes_per_tree", "load_ms", "mmap"});
-  Table sharded_table({"family", "threads", "shards", "agg", "qps",
+  Table sharded_table({"family", "threads", "shards", "qps",
                        "subqueries", "submissions", "subs_per_subq",
                        "remote_hits", "answers_ok"});
   JsonRows json;
@@ -2146,13 +2135,12 @@ int run(const Options& opt) {
                "sampled answer within the (1+eps)^d * d stretch contract:\n";
   eps_table.print();
   std::cout << "\nSharded-serving scenario: root-partitioned OracleShard "
-               "fleet behind the aggregating front-end, shards x "
-               "aggregation\n{off = one serve_batch submission per routed "
-               "sub-query (the naive front-end), on = per-shard outboxes};\n"
-               "subs_per_subq = submissions / routed sub-queries (the "
-               "aggregation win), answers_ok = every sampled digest\n"
-               "bit-identical to the shards=1 stream AND to a from-scratch "
-               "rebuild of its churn phase's topology:\n";
+               "fleet behind the group-by-shard front-end (one serve_batch\n"
+               "per touched shard per query); subs_per_subq = submissions / "
+               "routed sub-queries (1.0 = a naive front-end),\nanswers_ok = "
+               "every sampled digest bit-identical to the shards=1 stream "
+               "AND to a from-scratch\nrebuild of its churn phase's "
+               "topology:\n";
   sharded_table.print();
   std::cout << "\nLarge-graph scenario: skewed hot-root traffic against a "
                "budget sized to half the hot set's FAT trees;\nmode fat = "

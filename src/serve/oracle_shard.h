@@ -89,9 +89,9 @@ enum class FetchOutcome : uint8_t {
   kRemoteHit,       // front-end view: the routed sub-query resolved from the
                     // owning shard's cache (never counted by a shard itself;
                     // booked by the ShardAggregator's `frontend` component)
-  kAggregated,      // front-end view: the routed sub-query was staged in a
-                    // per-shard outbox and rode an aggregated submission
-                    // (never counted by a shard itself)
+  kAggregated,      // front-end view: the routed sub-query missed at the
+                    // owning shard and was served by its per-shard
+                    // submission (never counted by a shard itself)
 };
 inline constexpr size_t kNumFetchOutcomes = 8;
 const char* fetch_outcome_name(FetchOutcome o);

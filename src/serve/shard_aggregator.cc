@@ -1,7 +1,6 @@
 #include "serve/shard_aggregator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -37,7 +36,6 @@ ShardAggregator::ShardAggregator(const IRpts& pi, FrontEndConfig config)
       throw std::invalid_argument(
           "ShardAggregator: scheme has no snapshot_view; shards fell back "
           "to the shared-lock regime, which cannot absorb fan-outs");
-    outboxes_.push_back(std::make_unique<Outbox>());
   }
   routed_epoch_.store(pi_->version().epoch, std::memory_order_release);
   register_providers();
@@ -55,12 +53,6 @@ void ShardAggregator::register_providers() {
         b.counter("remote_hits",
                   remote_hits_.load(std::memory_order_relaxed));
         b.counter("aggregated", aggregated_.load(std::memory_order_relaxed));
-        b.counter("flush.capacity",
-                  flush_capacity_.load(std::memory_order_relaxed));
-        b.counter("flush.timeout",
-                  flush_timeout_.load(std::memory_order_relaxed));
-        b.counter("flush.explicit",
-                  flush_explicit_.load(std::memory_order_relaxed));
         b.counter("fanouts", fanouts_.load(std::memory_order_relaxed));
         b.gauge("shards", static_cast<int64_t>(shards_.size()));
         b.gauge("routed_epoch",
@@ -69,150 +61,42 @@ void ShardAggregator::register_providers() {
       }));
 }
 
-void ShardAggregator::book_subquery(const FetchObs& fo) {
-  // The front-end half of the outcome taxonomy: a routed sub-query that the
-  // owning shard's cache resolved is a remote_hit; one that rode a staged
-  // flush or direct submission shows up as aggregated. The shard's own
-  // classes (miss_leader etc.) carry the compute decomposition.
-  if (fo.outcome == FetchObs::kHit)
-    remote_hits_.fetch_add(1, std::memory_order_relaxed);
-  else
-    aggregated_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::vector<std::shared_ptr<ShardAggregator::Staged>> ShardAggregator::detach(
-    Outbox& ob) {
-  std::vector<std::shared_ptr<Staged>> out;
-  std::lock_guard<std::mutex> lock(ob.mu);
-  out.swap(ob.staged);
-  return out;
-}
-
-void ShardAggregator::flush_batch(size_t k,
-                                  std::vector<std::shared_ptr<Staged>> batch) {
-  if (batch.empty()) return;
-  // One serve_batch per pinned generation present in the drain (almost
-  // always one; briefly two around a fan-out, since entries staged before
-  // and after the gate carry different pins and must not share an engine
-  // submission's snapshot).
-  std::vector<const Generation*> groups;
-  for (const auto& st : batch) {
-    const Generation* g = st->pin ? st->pin.get() : nullptr;
-    if (std::find(groups.begin(), groups.end(), g) == groups.end())
-      groups.push_back(g);
-  }
-  for (const Generation* g : groups) {
-    std::vector<size_t> members;
-    std::vector<SsspRequest> reqs;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if ((batch[i]->pin ? batch[i]->pin.get() : nullptr) != g) continue;
-      members.push_back(i);
-      reqs.push_back(batch[i]->req);
-    }
-    submissions_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<FetchObs> obs;
-    try {
-      auto trees =
-          shards_[k]->serve_batch(reqs, batch[members.front()]->pin, &obs);
-      for (size_t j = 0; j < members.size(); ++j) {
-        batch[members[j]]->tree = std::move(trees[j]);
-        batch[members[j]]->obs = obs[j];
-      }
-    } catch (...) {
-      // Fail the whole group's entries, never strand a waiter: a staged
-      // entry must always resolve to a tree or an exception.
-      for (const size_t j : members)
-        batch[j]->error = std::current_exception();
-    }
-  }
-  for (const auto& st : batch) {
-    {
-      std::lock_guard<std::mutex> lock(st->mu);
-      st->done = true;
-    }
-    st->cv.notify_all();
-  }
-}
-
-std::shared_ptr<ShardAggregator::Staged> ShardAggregator::stage_and_wait(
-    size_t k, const SsspRequest& req, GenerationManager::Pin pin) {
-  Outbox& ob = *outboxes_[k];
-  auto st = std::make_shared<Staged>();
-  st->req = req;
-  st->pin = std::move(pin);
-  bool at_capacity = false;
-  {
-    std::lock_guard<std::mutex> lock(ob.mu);
-    ob.staged.push_back(st);
-    at_capacity = ob.staged.size() >= config_.flush_capacity;
-  }
-  if (at_capacity) {
-    // Capacity rule: the stager that filled the box serves the batch (its
-    // own entry rides along). detach() may come back empty if a concurrent
-    // trigger won the race -- then our entry is in THAT batch and the wait
-    // below resolves it.
-    flush_capacity_.fetch_add(1, std::memory_order_relaxed);
-    flush_batch(k, detach(ob));
-  }
-  const auto deadline = std::chrono::microseconds(config_.flush_timeout_us);
-  std::unique_lock<std::mutex> lock(st->mu);
-  while (!st->done) {
-    if (st->cv.wait_for(lock, deadline, [&] { return st->done; })) break;
-    // Timeout rule: nobody flushed within the staging budget, so this
-    // waiter detaches whatever is staged (its own entry included) and
-    // serves it. If another trigger detached our entry meanwhile, the
-    // detach is empty/foreign and we just wait again -- whoever holds the
-    // batch always resolves it.
-    lock.unlock();
-    auto batch = detach(ob);
-    if (!batch.empty()) {
-      flush_timeout_.fetch_add(1, std::memory_order_relaxed);
-      flush_batch(k, std::move(batch));
-    }
-    lock.lock();
-  }
-  return st;
+GenerationManager::Pin ShardAggregator::pin_shard(size_t k) {
+  // Gate held ONLY for the pin grab: coherence, not compute.
+  std::shared_lock<std::shared_mutex> gate(fanout_mu_);
+  return shards_[k]->pin_generation();
 }
 
 std::vector<SptHandle> ShardAggregator::submit(
     size_t k, std::span<const SsspRequest> requests,
-    const GenerationManager::Pin& pin, std::vector<FetchObs>* obs) {
+    const GenerationManager::Pin& pin) {
+  subqueries_.fetch_add(requests.size(), std::memory_order_relaxed);
   submissions_.fetch_add(1, std::memory_order_relaxed);
-  return shards_[k]->serve_batch(requests, pin, obs);
-}
-
-SptHandle ShardAggregator::fetch_routed(size_t k, const SsspRequest& req,
-                                        const GenerationManager::Pin& pin) {
-  subqueries_.fetch_add(1, std::memory_order_relaxed);
-  if (!config_.enable_aggregation) {
-    std::vector<FetchObs> obs;
-    auto out = submit(k, std::span<const SsspRequest>(&req, 1), pin, &obs);
-    book_subquery(obs[0]);
-    return std::move(out[0]);
+  std::vector<FetchObs> obs;
+  auto trees = shards_[k]->serve_batch(requests, pin, &obs);
+  // The front-end half of the outcome taxonomy: a sub-query the owning
+  // shard's cache resolved is a remote_hit; one that missed there and was
+  // computed for this submission is aggregated. The shard's own classes
+  // (miss_leader etc.) carry the compute decomposition.
+  for (const FetchObs& fo : obs) {
+    if (fo.outcome == FetchObs::kHit)
+      remote_hits_.fetch_add(1, std::memory_order_relaxed);
+    else
+      aggregated_.fetch_add(1, std::memory_order_relaxed);
   }
-  const auto st = stage_and_wait(k, req, pin);
-  if (st->error) std::rethrow_exception(st->error);
-  book_subquery(st->obs);
-  return st->tree;
+  return trees;
 }
 
 SptHandle ShardAggregator::tree(const SsspRequest& req) {
   queries_.fetch_add(1, std::memory_order_relaxed);
   const size_t k = router_.shard_of(pi_->scheme_id(), req.root);
-  GenerationManager::Pin pin;
-  {
-    // Gate held ONLY for the pin grab: coherence, not compute.
-    std::shared_lock<std::shared_mutex> gate(fanout_mu_);
-    pin = shards_[k]->pin_generation();
-  }
-  return fetch_routed(k, req, pin);
+  return submit_one(k, req, pin_shard(k));
 }
 
 std::vector<SptHandle> ShardAggregator::tree_batch(
     std::span<const SsspRequest> requests) {
   queries_.fetch_add(1, std::memory_order_relaxed);
   if (requests.empty()) return {};
-  subqueries_.fetch_add(requests.size(), std::memory_order_relaxed);
   const ShardRouter::Plan plan =
       router_.decompose(pi_->scheme_id(), requests);
   // All pins under ONE shared hold of the gate: the whole multi-shard query
@@ -222,62 +106,14 @@ std::vector<SptHandle> ShardAggregator::tree_batch(
     std::shared_lock<std::shared_mutex> gate(fanout_mu_);
     for (const size_t k : plan.touched) pins[k] = shards_[k]->pin_generation();
   }
+  // Exactly one submission per touched shard: a k-root query costs
+  // |touched| <= min(k, shards) serve_batch calls.
   std::vector<SptHandle> out(requests.size());
-  if (!config_.enable_aggregation) {
-    // The unaggregated baseline: every routed sub-query is its own
-    // submission, exactly what a naive front-end would do -- k roots cost k
-    // serve_batch calls. This is the contrast the aggregation layer's >= 2x
-    // submission reduction is measured against (bench serve_sharded).
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const size_t k = router_.shard_of(pi_->scheme_id(), requests[i].root);
-      std::vector<FetchObs> obs;
-      auto sub = submit(k, std::span<const SsspRequest>(&requests[i], 1),
-                        pins[k], &obs);
-      out[i] = std::move(sub[0]);
-      book_subquery(obs[0]);
-    }
-    return out;
-  }
-  // Explicit flush rule: stage EVERY sub-query first (no capacity triggers
-  // -- the flush is imminent and bigger batches are the point), then flush
-  // each touched outbox once, piggybacking concurrently staged singles. A
-  // k-root query costs at most min(k, shards) submissions, deterministically.
-  std::vector<std::shared_ptr<Staged>> mine;
-  mine.reserve(requests.size());
   for (const size_t k : plan.touched) {
-    Outbox& ob = *outboxes_[k];
-    std::lock_guard<std::mutex> lock(ob.mu);
-    for (const SsspRequest& req : plan.by_shard[k]) {
-      auto st = std::make_shared<Staged>();
-      st->req = req;
-      st->pin = pins[k];
-      ob.staged.push_back(st);
-      mine.push_back(st);
-    }
+    auto trees = submit(k, plan.by_shard[k], pins[k]);
+    for (size_t j = 0; j < trees.size(); ++j)
+      out[plan.origin[k][j]] = std::move(trees[j]);
   }
-  for (const size_t k : plan.touched) {
-    auto batch = detach(*outboxes_[k]);
-    if (batch.empty()) continue;  // a concurrent trigger took ours along
-    flush_explicit_.fetch_add(1, std::memory_order_relaxed);
-    flush_batch(k, std::move(batch));
-  }
-  // Entries a concurrent capacity/timeout trigger carried off resolve under
-  // that trigger's flush; everything self-flushed above is already done.
-  size_t m = 0;
-  std::exception_ptr first_error;
-  for (const size_t k : plan.touched) {
-    for (size_t j = 0; j < plan.by_shard[k].size(); ++j, ++m) {
-      const auto& st = mine[m];
-      {
-        std::unique_lock<std::mutex> lock(st->mu);
-        st->cv.wait(lock, [&] { return st->done; });
-      }
-      if (st->error && !first_error) first_error = st->error;
-      book_subquery(st->obs);
-      out[plan.origin[k][j]] = st->tree;
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
   return out;
 }
 
@@ -285,25 +121,16 @@ int32_t ShardAggregator::distance(Vertex s, Vertex t,
                                   const FaultSet& faults) {
   queries_.fetch_add(1, std::memory_order_relaxed);
   const size_t k = router_.shard_of(pi_->scheme_id(), s);
-  GenerationManager::Pin pin;
-  {
-    std::shared_lock<std::shared_mutex> gate(fanout_mu_);
-    pin = shards_[k]->pin_generation();
-  }
   // The front-end serves the exact tier; the approximate tier stays a
   // per-shard concern (ServerConfig::default_epsilon on direct shard use).
-  return fetch_routed(k, {s, faults, Direction::kOut}, pin)->hops(t);
+  return submit_one(k, {s, faults, Direction::kOut}, pin_shard(k))->hops(t);
 }
 
 Path ShardAggregator::path(Vertex s, Vertex t, const FaultSet& faults) {
   queries_.fetch_add(1, std::memory_order_relaxed);
   const size_t k = router_.shard_of(pi_->scheme_id(), s);
-  GenerationManager::Pin pin;
-  {
-    std::shared_lock<std::shared_mutex> gate(fanout_mu_);
-    pin = shards_[k]->pin_generation();
-  }
-  return fetch_routed(k, {s, faults, Direction::kOut}, pin)->path_to(t);
+  return submit_one(k, {s, faults, Direction::kOut}, pin_shard(k))
+      ->path_to(t);
 }
 
 int32_t ShardAggregator::replacement_distance(Vertex s, Vertex t, EdgeId e) {
@@ -311,12 +138,8 @@ int32_t ShardAggregator::replacement_distance(Vertex s, Vertex t, EdgeId e) {
   // Both fetches share one root, hence one shard and one pin: the base and
   // fault tree of a single query always read the same epoch.
   const size_t k = router_.shard_of(pi_->scheme_id(), s);
-  GenerationManager::Pin pin;
-  {
-    std::shared_lock<std::shared_mutex> gate(fanout_mu_);
-    pin = shards_[k]->pin_generation();
-  }
-  const SptHandle base = fetch_routed(k, {s, {}, Direction::kOut}, pin);
+  const GenerationManager::Pin pin = pin_shard(k);
+  const SptHandle base = submit_one(k, {s, {}, Direction::kOut}, pin);
   if (!base->reachable(t)) return kUnreachable;
   // Stability fast path, as in OracleShard::replacement_distance: a fault
   // off the selected path leaves the distance unchanged.
@@ -328,7 +151,7 @@ int32_t ShardAggregator::replacement_distance(Vertex s, Vertex t, EdgeId e) {
     }
   }
   if (!on_path) return base->hops(t);
-  return fetch_routed(k, {s, FaultSet{e}, Direction::kOut}, pin)->hops(t);
+  return submit_one(k, {s, FaultSet{e}, Direction::kOut}, pin)->hops(t);
 }
 
 UpdateResult ShardAggregator::apply_update(Graph& graph, GraphDelta delta) {
@@ -388,9 +211,6 @@ FrontEndStats ShardAggregator::stats() const {
   s.submissions = submissions_.load(std::memory_order_relaxed);
   s.remote_hits = remote_hits_.load(std::memory_order_relaxed);
   s.aggregated = aggregated_.load(std::memory_order_relaxed);
-  s.flush_capacity_trigger = flush_capacity_.load(std::memory_order_relaxed);
-  s.flush_timeout_trigger = flush_timeout_.load(std::memory_order_relaxed);
-  s.flush_explicit_trigger = flush_explicit_.load(std::memory_order_relaxed);
   s.fanouts = fanouts_.load(std::memory_order_relaxed);
   return s;
 }

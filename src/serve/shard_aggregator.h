@@ -1,27 +1,18 @@
-// The aggregating front-end of the sharded serving tier.
+// The front-end of the sharded serving tier.
 //
-// A ShardAggregator owns N OracleShards (serve/oracle_shard.h), a
-// ShardRouter assigning every root to exactly one of them, and -- the
-// point of this layer -- a per-destination-shard OUTBOX in which routed
-// sub-queries are staged and flushed as one batched submission per shard,
-// on capacity or timeout (FrontEndConfig). This is the CoalescingBatcher
-// idea lifted one level up, and the same per-destination staging pattern
-// grappa's RDMAAggregator applies to tiny messages and `congest/` applies
-// to per-sender message queues: k tiny cross-shard queries become one
-// serve_batch() per touched shard, so each shard sees ONE enroll + ONE
-// engine flush instead of k independent trickles.
-//
-// Flush rules (docs/ARCHITECTURE.md "Sharded serving"):
-//   * capacity -- the stager that fills an outbox to flush_capacity detaches
-//     and serves the batch itself;
-//   * timeout  -- every staging caller waits for its own result with a
-//     flush_timeout_us deadline, and on expiry detaches whatever is staged
-//     (its own entry included) and serves it: bounded staging latency with
-//     no background flusher thread;
-//   * explicit -- a multi-root query (tree_batch) stages ALL its sub-queries
-//     first, then flushes every outbox it touched immediately, piggybacking
-//     any concurrently staged singles. A k-root query therefore costs at
-//     most min(k, N) submissions -- deterministically, even single-threaded.
+// A ShardAggregator owns N OracleShards (serve/oracle_shard.h) and a
+// ShardRouter assigning every root to exactly one of them. Its one rule is
+// deterministic group-by-shard (docs/ARCHITECTURE.md "Sharded serving"):
+//   * a single (tree, distance, path, replacement_distance) pins its owning
+//     shard under the fan-out gate and is ONE serve_batch() on that shard;
+//   * a multi-root tree_batch is decomposed per shard, all pins are taken
+//     under one shared hold of the gate, and each touched shard gets exactly
+//     ONE serve_batch() with its sub-batch; results merge back in request
+//     order. A k-root query therefore costs exactly |touched| <= min(k, N)
+//     submissions -- structurally, even single-threaded.
+// Concurrent misses from different callers still coalesce one layer down,
+// in each shard's CoalescingBatcher; the front-end adds no staging of its
+// own.
 //
 // Epoch-coherent updates: apply_updates() applies the delta batch to the
 // shared graph ONCE, then fans the SAME DeltaBatch + snapshot out to every
@@ -31,10 +22,9 @@
 // never a mix: all shards advance, then the router unblocks the new epoch
 // (routed_epoch() bumps, the gate reopens), and only afterwards does each
 // shard repair/prewarm its invalidated trees (repair_deferred) -- readers
-// never wait on prewarming. Staged outbox entries carry pins taken before
-// the fan-out and simply compute on the old generation; the SptCache's
-// stale-epoch insert rejection keeps their straggler publishes out of the
-// store.
+// never wait on prewarming. A submission whose pins predate the fan-out
+// simply computes on the old generation; the SptCache's stale-epoch insert
+// rejection keeps its straggler publishes out of the store.
 //
 // Everything is in-process: shards are objects, not processes, so CI runs
 // the full three-layer stack (shard_test, bench serve_sharded) and answers
@@ -43,13 +33,12 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/rpts.h"
@@ -63,13 +52,6 @@ namespace restorable {
 struct FrontEndConfig {
   size_t num_shards = 1;
   uint32_t num_slots = ShardRouter::kDefaultSlots;
-  // false: sub-queries bypass the outboxes and go straight to
-  // OracleShard::serve_batch, one submission per sub-batch (the measurable
-  // baseline of the aggregation layer).
-  bool enable_aggregation = true;
-  // Outbox flush knobs (see the flush rules above).
-  size_t flush_capacity = 16;
-  uint64_t flush_timeout_us = 200;
   // Total engine worker threads across the fleet: each shard gets an owned
   // BatchSsspEngine slice of max(1, total_engine_threads / num_shards)
   // threads -- the NUMA story's single-machine shape (one pool per shard).
@@ -96,14 +78,11 @@ struct FrontEndStats {
   uint64_t subqueries = 0;   // routed per-shard tree fetches
   uint64_t submissions = 0;  // serve_batch calls issued to shards
   // Per-sub-query outcome classes, the front-end half of FetchOutcome:
-  // remote_hit = resolved from the owning shard's cache; aggregated = miss
-  // side, rode a batched per-shard submission (staged flush, or the direct
-  // sub-batch when aggregation is disabled). Sums to subqueries.
+  // remote_hit = resolved from the owning shard's cache; aggregated =
+  // missed at the owning shard, served by its per-shard submission. Sums
+  // to subqueries.
   uint64_t remote_hits = 0;
   uint64_t aggregated = 0;
-  uint64_t flush_capacity_trigger = 0;
-  uint64_t flush_timeout_trigger = 0;
-  uint64_t flush_explicit_trigger = 0;
   uint64_t fanouts = 0;  // epoch-coherent update fan-outs completed
 };
 
@@ -145,47 +124,18 @@ class ShardAggregator {
   obs::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
-  // One staged sub-query: the request, the pin it was routed under (taken
-  // while holding the fan-out gate shared, so it is epoch-coherent with the
-  // rest of its query), and the flush-filled result.
-  struct Staged {
-    SsspRequest req;
-    GenerationManager::Pin pin;
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    SptHandle tree;
-    std::exception_ptr error;
-    FetchObs obs;
-  };
-  struct Outbox {
-    std::mutex mu;
-    std::vector<std::shared_ptr<Staged>> staged;
-  };
-
-  // Detach `ob`'s staged entries under its lock; empty when someone else
-  // got there first.
-  std::vector<std::shared_ptr<Staged>> detach(Outbox& ob);
-  // Serve a detached batch on shard k: groups by pinned generation (one
-  // serve_batch per group; entries staged across a fan-out may span two)
-  // and resolves every entry.
-  void flush_batch(size_t k, std::vector<std::shared_ptr<Staged>> batch);
-  // Stage one sub-query into shard k's outbox and wait for its result,
-  // flushing on capacity (this stager filled the box) or timeout (waited
-  // flush_timeout_us without resolution). Returns the staged entry, done.
-  std::shared_ptr<Staged> stage_and_wait(size_t k, const SsspRequest& req,
-                                         GenerationManager::Pin pin);
-  // Unstaged submission of one sub-batch (aggregation off / explicit path).
+  // Pin shard k's current generation under the fan-out gate.
+  GenerationManager::Pin pin_shard(size_t k);
+  // ONE serve_batch of `requests` on shard k, booking each sub-query as a
+  // remote_hit or aggregated. The pin must have been taken under the
+  // fan-out gate.
   std::vector<SptHandle> submit(size_t k,
                                 std::span<const SsspRequest> requests,
-                                const GenerationManager::Pin& pin,
-                                std::vector<FetchObs>* obs);
-  // One routed single-tree fetch through the configured path (outbox or
-  // direct), booking remote_hit/aggregated. The pin must have been taken
-  // under the fan-out gate.
-  SptHandle fetch_routed(size_t k, const SsspRequest& req,
-                         const GenerationManager::Pin& pin);
-  void book_subquery(const FetchObs& fo);
+                                const GenerationManager::Pin& pin);
+  SptHandle submit_one(size_t k, const SsspRequest& req,
+                       const GenerationManager::Pin& pin) {
+    return std::move(submit(k, std::span(&req, 1), pin)[0]);
+  }
   void register_providers();
 
   const IRpts* pi_;
@@ -199,14 +149,13 @@ class ShardAggregator {
   obs::MetricsRegistry* metrics_;
   std::vector<std::unique_ptr<BatchSsspEngine>> engines_;
   std::vector<std::unique_ptr<OracleShard>> shards_;
-  std::vector<std::unique_ptr<Outbox>> outboxes_;
 
   // Fan-out gate: queries hold it SHARED only while collecting generation
   // pins (so one query's pins are all-old or all-new across shards);
   // apply_updates holds it EXCLUSIVE across graph.apply + every shard's
-  // absorb_update. Staging, flushing, and computing all happen outside the
-  // gate, so a publish never waits on an engine batch -- only on pin
-  // collection, which is a few atomic fetch_adds.
+  // absorb_update. Computing happens outside the gate, so a publish never
+  // waits on an engine batch -- only on pin collection, which is a few
+  // atomic fetch_adds.
   std::shared_mutex fanout_mu_;
   // Serializes mutators across the fleet AND covers repair_deferred, which
   // reads the live CSR after the gate reopens.
@@ -218,9 +167,6 @@ class ShardAggregator {
   std::atomic<uint64_t> submissions_{0};
   std::atomic<uint64_t> remote_hits_{0};
   std::atomic<uint64_t> aggregated_{0};
-  std::atomic<uint64_t> flush_capacity_{0};
-  std::atomic<uint64_t> flush_timeout_{0};
-  std::atomic<uint64_t> flush_explicit_{0};
   std::atomic<uint64_t> fanouts_{0};
 
   // Declared LAST: unregistered before anything the provider reads dies.

@@ -1,7 +1,7 @@
 // Tests for the sharded serving tier (src/serve/shard_router.h,
 // shard_aggregator.h): consistent-hash stability under fleet growth,
-// bit-identical answers at every shard count with and without aggregation,
-// deterministic submission bounds from the explicit flush rule,
+// bit-identical answers at every shard count, exact per-shard submission
+// counts from the group-by-shard rule,
 // epoch-coherent update fan-out with pinned readers surviving it, and the
 // compact-aware repair fast path staying bit-identical to the
 // thaw-repair-compact round-trip it replaces.
@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -194,23 +195,20 @@ TEST(CompactRepair, FatInputStaysFat) {
 }
 
 // ---------------------------------------------------------------------------
-// Aggregation layer.
+// Front-end: deterministic group-by-shard.
 
-FrontEndConfig small_config(size_t shards, bool aggregation,
-                            const BatchSsspEngine* engine) {
+FrontEndConfig small_config(size_t shards, const BatchSsspEngine* engine) {
   FrontEndConfig fc;
   fc.num_shards = shards;
-  fc.enable_aggregation = aggregation;
   fc.shard.engine = engine;
   fc.shard.cache.shards = 2;
   return fc;
 }
 
 // The tentpole acceptance gate in miniature: the same query stream answered
-// at 1, 2, and 4 shards, with and without aggregation, must be bit-identical
-// to the single-scheme reference -- sharding repartitions work, never
-// changes the scheme.
-TEST(ShardAggregator, BitIdenticalAcrossShardCountsAndAggregation) {
+// at 1, 2, and 4 shards must be bit-identical to the single-scheme
+// reference -- sharding repartitions work, never changes the scheme.
+TEST(ShardAggregator, BitIdenticalAcrossShardCounts) {
   Graph g = gnp_connected(60, 0.08, 7);
   const IsolationRpts pi(g, IsolationAtw(8));
   const BatchSsspEngine engine(2);
@@ -220,35 +218,32 @@ TEST(ShardAggregator, BitIdenticalAcrossShardCountsAndAggregation) {
     all.push_back({r, {}, Direction::kOut});
 
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
-    for (const bool aggregation : {true, false}) {
-      ShardAggregator fe(pi, small_config(shards, aggregation, &engine));
-      const auto trees = fe.tree_batch(all);
-      ASSERT_EQ(trees.size(), all.size());
-      for (Vertex r = 0; r < g.num_vertices(); ++r) {
-        ASSERT_NE(trees[r], nullptr);
-        expect_same_tree(*trees[r], pi.spt(r));
-      }
-      // Point queries agree too, including the fault tier and the
-      // stability fast path.
-      EXPECT_EQ(fe.distance(0, 5), pi.spt(0).hops(5));
-      EXPECT_EQ(fe.distance(3, 9, FaultSet{1}),
-                pi.spt(3, FaultSet{1}).hops(9));
-      const Spt base = pi.spt(2);
-      Vertex x = 1;
-      while (base.parent_edge(x) == kNoEdge) ++x;
-      EXPECT_EQ(fe.replacement_distance(2, x, base.parent_edge(x)),
-                pi.spt(2, FaultSet{base.parent_edge(x)}).hops(x));
-      const auto s = fe.stats();
-      EXPECT_EQ(s.remote_hits + s.aggregated, s.subqueries);
+    ShardAggregator fe(pi, small_config(shards, &engine));
+    const auto trees = fe.tree_batch(all);
+    ASSERT_EQ(trees.size(), all.size());
+    for (Vertex r = 0; r < g.num_vertices(); ++r) {
+      ASSERT_NE(trees[r], nullptr);
+      expect_same_tree(*trees[r], pi.spt(r));
     }
+    // Point queries agree too, including the fault tier and the
+    // stability fast path.
+    EXPECT_EQ(fe.distance(0, 5), pi.spt(0).hops(5));
+    EXPECT_EQ(fe.distance(3, 9, FaultSet{1}),
+              pi.spt(3, FaultSet{1}).hops(9));
+    const Spt base = pi.spt(2);
+    Vertex x = 1;
+    while (base.parent_edge(x) == kNoEdge) ++x;
+    EXPECT_EQ(fe.replacement_distance(2, x, base.parent_edge(x)),
+              pi.spt(2, FaultSet{base.parent_edge(x)}).hops(x));
+    const auto s = fe.stats();
+    EXPECT_EQ(s.remote_hits + s.aggregated, s.subqueries);
   }
 }
 
-// The explicit flush rule's deterministic bound: a k-root cold tree_batch
-// costs at most min(k, shards) submissions when aggregation is on, and
-// exactly k when it is off -- the >= 2x reduction the bench asserts is a
-// structural property, not a timing accident.
-TEST(ShardAggregator, ExplicitFlushBoundsSubmissions) {
+// The group-by-shard rule's exact cost: a k-root tree_batch is one
+// serve_batch per touched shard (<= min(k, shards)), cold or warm, and every
+// single is exactly one -- structural, not a timing accident.
+TEST(ShardAggregator, SubmissionsArePerTouchedShard) {
   Graph g = gnp_connected(64, 0.07, 27);
   const IsolationRpts pi(g, IsolationAtw(28));
   const BatchSsspEngine engine(2);
@@ -257,24 +252,43 @@ TEST(ShardAggregator, ExplicitFlushBoundsSubmissions) {
   std::vector<SsspRequest> reqs;
   for (Vertex r = 0; r < kRoots; ++r) reqs.push_back({r, {}, Direction::kOut});
 
-  ShardAggregator on(pi, small_config(kShards, true, &engine));
-  on.tree_batch(reqs);
-  const FrontEndStats s_on = on.stats();
-  EXPECT_EQ(s_on.subqueries, kRoots);
-  EXPECT_LE(s_on.submissions, kShards);
-  EXPECT_GT(s_on.flush_explicit_trigger, 0u);
+  ShardAggregator fe(pi, small_config(kShards, &engine));
+  const size_t touched =
+      fe.router().decompose(pi.scheme_id(), reqs).touched.size();
+  ASSERT_GT(touched, 1u);  // the fixture really fans out
+  ASSERT_LE(touched, std::min(kRoots, kShards));
 
-  ShardAggregator off(pi, small_config(kShards, false, &engine));
-  off.tree_batch(reqs);
-  const FrontEndStats s_off = off.stats();
-  EXPECT_EQ(s_off.submissions, kRoots);
-  EXPECT_GE(s_off.submissions, 2 * s_on.submissions);
+  fe.tree_batch(reqs);
+  FrontEndStats s = fe.stats();
+  EXPECT_EQ(s.queries, 1u);
+  EXPECT_EQ(s.subqueries, kRoots);
+  EXPECT_EQ(s.submissions, touched);
+  EXPECT_EQ(s.aggregated, kRoots);  // cold: every sub-query missed
+  EXPECT_EQ(s.remote_hits + s.aggregated, s.subqueries);
 
-  // Warm repeat: every sub-query is a remote hit; submissions still bounded.
-  on.tree_batch(reqs);
-  const FrontEndStats s_warm = on.stats();
-  EXPECT_EQ(s_warm.remote_hits + s_warm.aggregated, s_warm.subqueries);
-  EXPECT_GE(s_warm.remote_hits, kRoots);
+  // Warm repeat: every sub-query is a remote hit; still one per shard.
+  fe.tree_batch(reqs);
+  s = fe.stats();
+  EXPECT_EQ(s.submissions, 2 * touched);
+  EXPECT_EQ(s.remote_hits, kRoots);
+  EXPECT_EQ(s.remote_hits + s.aggregated, s.subqueries);
+
+  // Each single is exactly one submission of one sub-query; the two
+  // fetches of a replacement query that leaves the fast path are two.
+  const uint64_t before = s.submissions;
+  fe.tree({0, {}, Direction::kOut});
+  fe.distance(1, 5);
+  fe.path(2, 7);
+  s = fe.stats();
+  EXPECT_EQ(s.submissions, before + 3);
+  EXPECT_EQ(s.subqueries, 2 * kRoots + 3);
+  const Spt base = pi.spt(3);
+  Vertex x = 1;
+  while (base.parent_edge(x) == kNoEdge) ++x;
+  fe.replacement_distance(3, x, base.parent_edge(x));
+  s = fe.stats();
+  EXPECT_EQ(s.submissions, before + 5);
+  EXPECT_EQ(s.remote_hits + s.aggregated, s.subqueries);
 }
 
 // Epoch-coherent fan-out: a pinned reader on one shard survives an
@@ -287,7 +301,7 @@ TEST(ShardAggregator, EpochCoherentFanoutKeepsPinnedReaders) {
   Graph g = gnp_connected(60, 0.08, 37);
   const IsolationRpts pi(g, IsolationAtw(38));
   const BatchSsspEngine engine(2);
-  ShardAggregator fe(pi, small_config(2, true, &engine));
+  ShardAggregator fe(pi, small_config(2, &engine));
 
   // From-scratch reference on the OLD topology, taken before the mutation.
   std::vector<Spt> before;
@@ -347,7 +361,7 @@ TEST(ShardAggregator, ChurnDuringCrossShardLoad) {
   Graph g = gnp_connected(40, 0.1, 47);
   const IsolationRpts pi(g, IsolationAtw(48));
   const BatchSsspEngine engine(2);
-  ShardAggregator fe(pi, small_config(2, true, &engine));
+  ShardAggregator fe(pi, small_config(2, &engine));
 
   const Spt t0 = pi.spt(0);
   Vertex x = 1;
@@ -404,7 +418,7 @@ TEST(ShardAggregator, FleetReportsIntoOneRegistry) {
   Graph g = gnp_connected(40, 0.1, 57);
   const IsolationRpts pi(g, IsolationAtw(58));
   const BatchSsspEngine engine(2);
-  ShardAggregator fe(pi, small_config(2, true, &engine));
+  ShardAggregator fe(pi, small_config(2, &engine));
 
   std::vector<SsspRequest> all;
   for (Vertex r = 0; r < g.num_vertices(); ++r)

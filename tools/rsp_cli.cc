@@ -10,12 +10,16 @@
 //   rsp spanner <graph> <f>                     f-FT +4 spanner size
 //   rsp audit <graph>                           property audit of the default scheme
 //
-// Graph files use the edge-list format of graph/io.h. The tiebreaking seed
-// can be set with --seed N (default 2021).
+// Graph files are read by load_graph_auto (graph/io.h): the native edge
+// list, DIMACS .gr, SNAP .txt/.snap or frozen .rcsr. Vertex, edge and
+// --fault ids are checked against the loaded graph; an id out of range is a
+// usage error. The tiebreaking seed can be set with --seed N (default 2021).
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/properties.h"
@@ -50,9 +54,30 @@ namespace {
 
 struct Args {
   std::vector<std::string> positional;
-  std::vector<EdgeId> faults;
+  std::vector<std::string> faults;
   uint64_t seed = 2021;
 };
+
+// Parses a vertex or edge id and rejects anything outside [0, limit).
+uint32_t parse_id(const std::string& text, size_t limit, const char* what) {
+  const bool digits = !text.empty() && text.size() <= 10 &&
+                      std::all_of(text.begin(), text.end(),
+                                  [](char c) { return c >= '0' && c <= '9'; });
+  if (!digits || std::stoull(text) >= limit) {
+    std::cerr << "error: " << what << " " << text << " out of range [0, "
+              << limit << ")\n";
+    usage();
+  }
+  return static_cast<uint32_t>(std::stoull(text));
+}
+
+Vertex vertex_arg(const Graph& g, const std::string& text) {
+  return parse_id(text, g.num_vertices(), "vertex");
+}
+
+EdgeId edge_arg(const Graph& g, const std::string& text) {
+  return parse_id(text, g.num_edges(), "edge");
+}
 
 Args parse(int argc, char** argv) {
   Args args;
@@ -61,7 +86,7 @@ Args parse(int argc, char** argv) {
     if (a == "--seed" && i + 1 < argc) {
       args.seed = std::stoull(argv[++i]);
     } else if (a == "--fault" && i + 1 < argc) {
-      args.faults.push_back(static_cast<EdgeId>(std::stoul(argv[++i])));
+      args.faults.push_back(argv[++i]);
     } else {
       args.positional.push_back(a);
     }
@@ -111,10 +136,12 @@ int cmd_info(const Graph& g) {
 
 int cmd_path(const Graph& g, const Args& a) {
   if (a.positional.size() != 4) usage();
-  const Vertex s = std::stoul(a.positional[2]);
-  const Vertex t = std::stoul(a.positional[3]);
+  const Vertex s = vertex_arg(g, a.positional[2]);
+  const Vertex t = vertex_arg(g, a.positional[3]);
+  std::vector<EdgeId> faults;
+  for (const std::string& e : a.faults) faults.push_back(edge_arg(g, e));
   const auto pi = make_default_rpts(g, a.seed);
-  const FaultSet f{std::vector<EdgeId>(a.faults)};
+  const FaultSet f{std::move(faults)};
   const Path p = pi->path(s, t, f);
   if (p.empty()) {
     std::cout << "unreachable under F=" << f.to_string() << "\n";
@@ -127,9 +154,9 @@ int cmd_path(const Graph& g, const Args& a) {
 
 int cmd_restore(const Graph& g, const Args& a) {
   if (a.positional.size() != 5) usage();
-  const Vertex s = std::stoul(a.positional[2]);
-  const Vertex t = std::stoul(a.positional[3]);
-  const EdgeId e = std::stoul(a.positional[4]);
+  const Vertex s = vertex_arg(g, a.positional[2]);
+  const Vertex t = vertex_arg(g, a.positional[3]);
+  const EdgeId e = edge_arg(g, a.positional[4]);
   const auto pi = make_default_rpts(g, a.seed);
   const auto out = restore_by_concatenation(*pi, s, t, e);
   switch (out.status) {
@@ -151,8 +178,8 @@ int cmd_restore(const Graph& g, const Args& a) {
 
 int cmd_rp(const Graph& g, const Args& a) {
   if (a.positional.size() != 4) usage();
-  const Vertex s = std::stoul(a.positional[2]);
-  const Vertex t = std::stoul(a.positional[3]);
+  const Vertex s = vertex_arg(g, a.positional[2]);
+  const Vertex t = vertex_arg(g, a.positional[3]);
   const IsolationAtw atw(a.seed);
   const auto res = single_pair_replacement_paths(g, atw, s, t);
   if (res.base_path.empty()) {
@@ -177,7 +204,7 @@ int cmd_preserver(const Graph& g, const Args& a) {
   const int f = std::stoi(a.positional[2]);
   std::vector<Vertex> sources;
   for (size_t i = 3; i < a.positional.size(); ++i)
-    sources.push_back(std::stoul(a.positional[i]));
+    sources.push_back(vertex_arg(g, a.positional[i]));
   const auto pi = make_default_rpts(g, a.seed);
   const EdgeSubset p = build_ss_preserver(*pi, sources, f);
   std::cout << f << "-FT S x S preserver: " << p.count() << " of "
@@ -241,7 +268,7 @@ int run(int argc, char** argv) {
   const std::string& cmd = args.positional[0];
   if (cmd == "gen") return cmd_gen(args);
   if (args.positional.size() < 2) usage();
-  const Graph g = load_graph(args.positional[1]);
+  const Graph g = load_graph_auto(args.positional[1]);
   if (cmd == "info") return cmd_info(g);
   if (cmd == "path") return cmd_path(g, args);
   if (cmd == "restore") return cmd_restore(g, args);
