@@ -33,29 +33,53 @@ void run_row(Table& table, JsonRows& json, const std::string& family,
   const TwoFaultSubsetOracle oracle(pi, sources, &engine);
   const double prep_s = prep.seconds();
 
-  // Random two-fault queries, verified and timed both ways.
+  // Two-fault queries of two shapes, verified and timed both ways: random
+  // edge pairs (mostly off both trees), and "on-path" pairs -- the first
+  // fault on pi(s1, s2), the second on the path selected without it -- which
+  // are the ones that force the oracle to scan.
   Rng rng(seed + 1);
-  size_t kQueries = 0;
+  constexpr size_t kQueries = 300;
   size_t correct = 0;
-  double oracle_s = 0, bfs_s = 0;
-  while (kQueries < 300) {
-    const Vertex s1 = sources[rng.next_below(sources.size())];
-    const Vertex s2 = sources[rng.next_below(sources.size())];
-    if (s1 == s2) continue;
-    ++kQueries;
-    const FaultSet f{static_cast<EdgeId>(rng.next_below(g.num_edges())),
-                     static_cast<EdgeId>(rng.next_below(g.num_edges()))};
+  double oracle_s[2] = {0, 0}, bfs_s[2] = {0, 0};
+  size_t count[2] = {0, 0};
+  for (size_t q = 0; q < kQueries; ++q) {
+    Vertex s1 = 0, s2 = 0;
+    do {
+      s1 = sources[rng.next_below(sources.size())];
+      s2 = sources[rng.next_below(sources.size())];
+    } while (s1 == s2);
+    const size_t shape = q % 2;  // 0 = random, 1 = on-path
+    const auto any_edge = [&] {
+      return static_cast<EdgeId>(rng.next_below(g.num_edges()));
+    };
+    const auto edge_on = [&](const Path& p) {
+      return p.edges.empty() ? any_edge()
+                             : p.edges[rng.next_below(p.edges.size())];
+    };
+    FaultSet f;
+    if (shape == 0) {
+      f = FaultSet{any_edge(), any_edge()};
+    } else {
+      const EdgeId e1 = edge_on(pi.path(s1, s2));
+      f = FaultSet{e1, edge_on(pi.path(s1, s2, FaultSet{e1}))};
+    }
     Stopwatch w1;
     const int32_t got = oracle.query(s1, s2, f);
-    oracle_s += w1.seconds();
+    oracle_s[shape] += w1.seconds();
     Stopwatch w2;
     const int32_t truth = bfs_distance(g, s1, s2, f);
-    bfs_s += w2.seconds();
+    bfs_s[shape] += w2.seconds();
+    ++count[shape];
     if (got == truth) ++correct;
   }
+  const auto us = [](double s, size_t k) { return 1e6 * s / k; };
+  const double oracle_us = us(oracle_s[0] + oracle_s[1], kQueries);
+  const double bfs_us = us(bfs_s[0] + bfs_s[1], kQueries);
+  const double oracle_on_path = us(oracle_s[1], count[1]);
+  const double bfs_on_path = us(bfs_s[1], count[1]);
   table.add_row(family, g.num_vertices(), g.num_edges(), sigma,
-                engine.threads(), oracle.trees_stored(), prep_s,
-                1e6 * oracle_s / kQueries, 1e6 * bfs_s / kQueries,
+                engine.threads(), oracle.trees_stored(), prep_s, oracle_us,
+                bfs_us, oracle_on_path, bfs_on_path,
                 std::to_string(correct) + "/" + std::to_string(kQueries));
   json.row()
       .field("bench", "two_fault_oracle")
@@ -66,8 +90,10 @@ void run_row(Table& table, JsonRows& json, const std::string& family,
       .field("threads", engine.threads())
       .field("trees", oracle.trees_stored())
       .field("prep_s", prep_s)
-      .field("oracle_us_per_query", 1e6 * oracle_s / kQueries)
-      .field("bfs_us_per_query", 1e6 * bfs_s / kQueries)
+      .field("oracle_us_per_query", oracle_us)
+      .field("bfs_us_per_query", bfs_us)
+      .field("oracle_us_on_path", oracle_on_path)
+      .field("bfs_us_on_path", bfs_on_path)
       .field("correct", correct)
       .field("queries", kQueries)
       .field("hw_threads",
@@ -99,7 +125,8 @@ int main(int argc, char** argv) {
                "width: "
             << engine.threads() << " threads.\n\n";
   Table table({"family", "n", "m", "sigma", "threads", "trees", "prep_s",
-               "oracle us/q", "bfs us/q", "correct"});
+               "oracle us/q", "bfs us/q", "oracle on-path", "bfs on-path",
+               "correct"});
   JsonRows json;
   run_row(table, json, "gnp(200,.08)", gnp_connected(200, 0.08, 3), 6, 21,
           engine);
@@ -108,14 +135,20 @@ int main(int argc, char** argv) {
   run_row(table, json, "torus(12x12)", torus(12, 12), 8, 23, engine);
   run_row(table, json, "cliquechain(20,10)", clique_chain(20, 10), 6, 24,
           engine);
+  // The crossover sweep: gnp(n, 8/n), sigma = 8, up to the size of the
+  // layered benchmark's rp_offline workload.
+  for (Vertex n : {25u, 50u, 100u, 200u, 400u, 800u, 1600u})
+    run_row(table, json, "gnp(" + std::to_string(n) + ",8/n)",
+            gnp_connected(n, 8.0 / n, 5), 8, 25, engine);
   table.print();
   std::cout
       << "\nExpected shape: all queries correct -- that is the\n"
          "2-restorability guarantee (Definition 17) doing the work: three\n"
-         "precomputed trees per query suffice for ANY two faults. Query\n"
-         "cost is Theta(n) midpoint scanning independent of m; plain BFS\n"
-         "remains competitive at laptop scales (it early-exits on small\n"
-         "diameters) but grows with m while the oracle does not.\n";
+         "precomputed trees per query suffice for ANY two faults. A query\n"
+         "is a flat-table lookup plus at most three O(n) allocation-free\n"
+         "scans, most answered by the first midpoints tried; BFS grows with\n"
+         "n + m, so the oracle's lead widens with the graph. Preprocessing\n"
+         "(sigma n SSSP runs) and the sigma n^2 table are the price.\n";
   if (!json_path.empty() && !json.write_file(json_path, std::cout, std::cerr))
     return 1;
   return 0;

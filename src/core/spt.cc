@@ -60,13 +60,30 @@ std::vector<EdgeId> Spt::tree_edges() const {
 }
 
 std::vector<Vertex> Spt::top_order() const {
-  std::vector<Vertex> order;
+  // Reachable vertices in id order, then a stable counting sort by hops, so
+  // ties come out in vertex-id order.
   const Vertex n = num_vertices();
-  order.reserve(n);
-  for (Vertex v = 0; v < n; ++v)
-    if (reachable(v)) order.push_back(v);
-  std::sort(order.begin(), order.end(),
-            [this](Vertex a, Vertex b) { return hops(a) < hops(b); });
+  std::vector<Vertex> by_id;
+  by_id.reserve(n);
+  int32_t max_h = 0;
+  for (Vertex v = 0; v < n; ++v) {
+    const int32_t h = hops(v);
+    if (h == kUnreachable) continue;
+    by_id.push_back(v);
+    max_h = std::max(max_h, h);
+  }
+  if (max_h >= static_cast<int32_t>(n)) {
+    // Only hand-built trees carry labels >= n (an SPT hop count is at most
+    // n - 1); sort those instead of allocating an oversized histogram.
+    std::stable_sort(by_id.begin(), by_id.end(),
+                     [this](Vertex a, Vertex b) { return hops(a) < hops(b); });
+    return by_id;
+  }
+  std::vector<uint32_t> start(static_cast<size_t>(max_h) + 2, 0);
+  for (Vertex v : by_id) ++start[hops(v) + 1];
+  for (size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
+  std::vector<Vertex> order(by_id.size());
+  for (Vertex v : by_id) order[start[hops(v)]++] = v;
   return order;
 }
 

@@ -169,8 +169,9 @@ class Spt {
   // All tree edges (parent edges of reachable non-root vertices), deduped.
   std::vector<EdgeId> tree_edges() const;
 
-  // Vertices in root-to-leaf topological order (increasing hops); includes
-  // only reachable vertices.
+  // Vertices in root-to-leaf topological order (increasing hops, ties by
+  // increasing vertex id); includes only reachable vertices. O(n): a
+  // counting sort by hops.
   std::vector<Vertex> top_order() const;
 
   // Heap footprint of this tree: object header plus the *reserved* storage
@@ -277,7 +278,7 @@ class Spt {
 // functions of (scheme, root, faults, dir) and are therefore shared, never
 // copied: IRpts::spt_batch hands them out as SptHandle, the serving cache
 // (serve/spt_cache.h) retains the same pointers, and consumers that keep
-// trees beyond construction (two-fault oracle, sourcewise-rp) hold handles.
+// trees beyond construction (sourcewise-rp) hold handles.
 // Ownership rules: the pointee is immutable -- never mutate through a
 // handle, never const_cast; a handle stays valid across cache evictions
 // (eviction only drops the cache's reference); equality of handles implies

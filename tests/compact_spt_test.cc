@@ -3,7 +3,9 @@
 // exact for both, and the serving cache's compact_trees knob must halve the
 // resident bytes per tree (the ISSUE's >= 40% target) without changing a
 // single answer.
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -59,6 +61,38 @@ TEST(CompactSpt, CompactAnswersBitIdenticalToFat) {
       EXPECT_EQ(compacted.paths_using_edge(e), fat.paths_using_edge(e));
     }
   }
+}
+
+TEST(CompactSpt, TopOrderSortsByHopsThenIdInBothForms) {
+  // A faulted tree on a sparse graph leaves part of it unreachable, so the
+  // order must also drop vertices; the hand-built tree's labels reach n and
+  // exercise the comparator fallback.
+  const Graph g = gnp_connected(80, 0.04, 19);
+  const IsolationRpts pi(g, IsolationAtw(4));
+  Spt hand;
+  hand.reset(4);
+  hand.mutable_hops() = {0, 9, kUnreachable, 9};
+  std::vector<Spt> trees{pi.spt(0, {}), hand};
+  for (EdgeId e = 0; e < g.num_edges(); e += 11)
+    trees.push_back(pi.spt(5, {e}));
+  for (const Spt& fat : trees) {
+    const std::vector<Vertex> order = fat.top_order();
+    std::vector<Vertex> reachable;
+    for (Vertex v = 0; v < fat.num_vertices(); ++v)
+      if (fat.reachable(v)) reachable.push_back(v);
+    std::vector<Vertex> sorted = order;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, reachable);
+    for (size_t i = 1; i < order.size(); ++i) {
+      const auto prev = std::pair(fat.hops(order[i - 1]), order[i - 1]);
+      EXPECT_LT(prev, std::pair(fat.hops(order[i]), order[i])) << "i=" << i;
+    }
+    Spt compacted = fat;
+    if (compacted.compact()) {
+      EXPECT_EQ(compacted.top_order(), order);
+    }
+  }
+  EXPECT_EQ(hand.top_order(), (std::vector<Vertex>{0, 1, 3}));
 }
 
 TEST(CompactSpt, ThawedRoundTripsExactly) {

@@ -307,9 +307,16 @@ TEST(SharedCache, ConsumersAreCacheInvariant) {
     const TwoFaultSubsetOracle or1(pi, sources, &engine, &cache);
     for (size_t i = 0; i < sources.size(); ++i)
       for (size_t j = i + 1; j < sources.size(); ++j)
-        for (EdgeId e = 0; e < g.num_edges(); e += 7)
+        for (EdgeId e = 0; e < g.num_edges(); e += 7) {
           EXPECT_EQ(or0.query(sources[i], sources[j], FaultSet{e}),
                     or1.query(sources[i], sources[j], FaultSet{e}));
+          for (EdgeId e2 = e + 1; e2 < g.num_edges(); e2 += 11) {
+            const FaultSet f{e, e2};
+            EXPECT_EQ(or0.query(sources[i], sources[j], f),
+                      or1.query(sources[i], sources[j], f))
+                << "F=" << f.to_string();
+          }
+        }
 
     const FtDistanceLabeling lab0(pi, 1, &engine);
     const FtDistanceLabeling lab1(pi, 1, &engine, &cache);
