@@ -39,13 +39,12 @@
 // A fifth scenario (bench=serve_churn_rcu rows) isolates the QUERY-SIDE
 // cost of updates: the same closed-loop workload measured quiet and then
 // under a background mutator thread continuously flapping one hot-tree
-// edge, once with the default lock-free epoch-pinned reads and once with
-// the shared_mutex baseline (ServerConfig::concurrency). Reported per
-// (threads, mode) row: p99 quiet vs under churn and their ratio, updates
-// applied during the churn window, generation publish/retire counters,
-// and a correctness check of sampled answers against from-scratch
-// rebuilds of both live topologies. CI asserts shape + correctness only
-// (no timing asserts -- shared 1-core runners).
+// edge, with the lock-free epoch-pinned reads every query takes (mode
+// `rcu`). Reported per threads row: p99 quiet vs under churn and their
+// ratio, updates applied during the churn window, generation
+// publish/retire counters, and a correctness check of sampled answers
+// against from-scratch rebuilds of both live topologies. CI asserts shape
+// + correctness only (no timing asserts -- shared 1-core runners).
 //
 // Scenario axes:
 //   --threads 1,4     comma list of closed-loop worker counts
@@ -1001,182 +1000,173 @@ void bench_burst(Table& burst_table, JsonRows& json, const Options& opt,
   }
 }
 
-// RCU scenario: steady-state query latency under CONTINUOUS background
-// churn, epoch-pinned lock-free reads versus the shared_mutex baseline.
-// For each (threads, mode) pair the same closed-loop mixed workload is
-// measured twice -- once against a quiet server, then again while a
-// background mutator thread duty-cycles one hot-tree edge through
-// apply_update (remove, pause, heal, pause). At any instant the topology
-// is either the full graph or the graph minus that one victim edge, so
-// every sampled churn-phase answer is verified against from-scratch
-// rebuilds of BOTH topologies: matching either proves the query computed
-// on one coherent generation; matching neither would mean a torn read
-// across an epoch swap. The judged signal is p99_churn / p99_nochurn:
-// epoch-pinned queries never block on the mutator, so the ratio should
-// stay near 1, while the shared-lock baseline absorbs every apply_update
-// (CSR rebuild + cache walk + prewarm repair batch) as a global read
-// stall. Timing asserts stay OUT of CI -- 1-core runners make the ratio
-// noisy in both directions -- CI checks row shape and correctness only.
+// RCU scenario: steady-state query latency of the epoch-pinned lock-free
+// reads under CONTINUOUS background churn. For each thread count the same
+// closed-loop mixed workload is measured twice -- once against a quiet
+// server, then again while a background mutator thread duty-cycles one
+// hot-tree edge through apply_update (remove, pause, heal, pause). At any
+// instant the topology is either the full graph or the graph minus that
+// one victim edge, so every sampled churn-phase answer is verified against
+// from-scratch rebuilds of BOTH topologies: matching either proves the
+// query computed on one coherent generation; matching neither would mean a
+// torn read across an epoch swap. The judged signal is
+// p99_churn / p99_nochurn: epoch-pinned queries never block on the
+// mutator, so the ratio should stay near 1. Timing asserts stay OUT of CI
+// -- 1-core runners make the ratio noisy in both directions -- CI checks
+// row shape and correctness only.
 void bench_churn_rcu(Table& rcu_table, JsonRows& json, const Options& opt,
                      const ObsSinks& sinks, const std::string& family,
                      const Graph& g0) {
   for (int threads : opt.threads) {
     const BatchSsspEngine engine(threads);
-    for (const bool rcu : {true, false}) {
-      Graph g = g0;  // the mutable working copy this scheme serves
-      const IsolationRpts pi(g, IsolationAtw(7));
-      ServerConfig cfg;
-      cfg.cache.shards = opt.shards;
-      cfg.cache.byte_budget = opt.budget_mb << 20;
-      cfg.max_batch = opt.max_batch;
-      cfg.engine = &engine;
-      cfg.concurrency = rcu ? QueryConcurrency::kEpochPinned
-                            : QueryConcurrency::kSharedLock;
-      cfg.tracer = sinks.tracer;
-      OracleServer server(pi, cfg);
+    Graph g = g0;  // the mutable working copy this scheme serves
+    const IsolationRpts pi(g, IsolationAtw(7));
+    ServerConfig cfg;
+    cfg.cache.shards = opt.shards;
+    cfg.cache.byte_budget = opt.budget_mb << 20;
+    cfg.max_batch = opt.max_batch;
+    cfg.engine = &engine;
+    cfg.tracer = sinks.tracer;
+    OracleServer server(pi, cfg);
 
-      std::vector<Vertex> hot_roots;
-      for (size_t i = 0; i < opt.hot; ++i)
-        hot_roots.push_back(static_cast<Vertex>(
-            (static_cast<uint64_t>(i) * g.num_vertices()) / opt.hot));
+    std::vector<Vertex> hot_roots;
+    for (size_t i = 0; i < opt.hot; ++i)
+      hot_roots.push_back(static_cast<Vertex>(
+          (static_cast<uint64_t>(i) * g.num_vertices()) / opt.hot));
 
-      // Victim: a parent edge of hot root 0's current tree -- present on
-      // the pristine topology and guaranteed to invalidate hot trees, so
-      // every flap exercises the full publish + prewarm path, not a
-      // carried-forward no-op.
-      EdgeId victim;
-      {
-        Rng rng(hash_combine(opt.seed, 0x4cb7));
-        const auto tree = server.tree({hot_roots[0], {}, Direction::kOut});
-        const auto pool = parented_vertices(*tree);
-        victim = tree->parent_edge(pool[rng.next_below(pool.size())]);
-      }
-      const Edge ends = g.endpoints(victim);
-
-      // Queries are generated off the pristine graph: the live one mutates
-      // under the mutator thread, and make_query only needs the stable
-      // vertex / edge-slot counts (tombstones keep both constant).
-      const size_t per_thread =
-          std::max<size_t>(1, opt.queries / static_cast<size_t>(threads));
-      std::vector<std::pair<Query, int32_t>> samples;
-      auto measure = [&](uint64_t phase_tag, bool keep_samples) {
-        std::vector<std::vector<double>> lat(threads);
-        std::vector<std::vector<std::pair<Query, int32_t>>> sm(threads);
-        Stopwatch wall;
-        std::vector<std::thread> workers;
-        workers.reserve(threads);
-        for (int w = 0; w < threads; ++w) {
-          workers.emplace_back([&, w, phase_tag, keep_samples] {
-            lat[w].reserve(per_thread);
-            for (size_t i = 0; i < per_thread; ++i) {
-              const uint64_t seq =
-                  (phase_tag * static_cast<uint64_t>(threads) +
-                   static_cast<uint64_t>(w)) *
-                      per_thread +
-                  i;
-              const Query q = make_query(g0, hot_roots, opt.seed, seq);
-              Stopwatch sw;
-              const int32_t got = run_query(server, q);
-              lat[w].push_back(sw.micros());
-              if (keep_samples && i % 64 == 0) sm[w].emplace_back(q, got);
-            }
-          });
-        }
-        for (auto& t : workers) t.join();
-        Measurement m;
-        m.wall_ms = wall.millis();
-        std::vector<double> all;
-        for (auto& l : lat) all.insert(all.end(), l.begin(), l.end());
-        std::sort(all.begin(), all.end());
-        m.p50_us = all[all.size() / 2];
-        m.p99_us = all[std::min(all.size() - 1, all.size() * 99 / 100)];
-        m.qps = static_cast<double>(all.size()) / (m.wall_ms / 1e3);
-        for (auto& s : sm) samples.insert(samples.end(), s.begin(), s.end());
-        return m;
-      };
-
-      // Phase 1: the quiet baseline (warms the hot trees as a side effect).
-      const Measurement still = measure(0, false);
-
-      // Phase 2: identical workload under continuous churn. Each mutator
-      // iteration ends healed, so the final topology equals the pristine
-      // one; the short pauses are the duty cycle a real control plane
-      // would have between delta batches.
-      std::atomic<bool> stop{false};
-      const uint64_t updates_before = server.updates_applied();
-      std::thread mutator([&] {
-        size_t pairs = 0;
-        // Floor of 4 flap pairs so tiny --small runs still measure churn.
-        while (!stop.load(std::memory_order_relaxed) || pairs < 4) {
-          server.apply_update(g, GraphDelta::remove(victim));
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-          server.apply_update(g, GraphDelta::insert(ends.u, ends.v));
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-          ++pairs;
-        }
-      });
-      const Measurement churn = measure(1, true);
-      stop.store(true, std::memory_order_relaxed);
-      mutator.join();
-      const uint64_t updates = server.updates_applied() - updates_before;
-
-      // Verify every sampled churn answer against rebuilds of both
-      // topologies the flap alternates between (same policy seed as the
-      // served scheme, so tiebreaking is bit-identical). A sample matching
-      // neither means a query mixed epochs.
-      size_t checked = 0, correct = 0;
-      {
-        const IsolationRpts full_ref(g0, IsolationAtw(7));
-        Graph removed = g0;
-        GraphDelta rm = GraphDelta::remove(victim);
-        removed.apply(rm);
-        const IsolationRpts removed_ref(removed, IsolationAtw(7));
-        for (const auto& [q, got] : samples) {
-          ++checked;
-          if (got == reference_answer(full_ref, q) ||
-              got == reference_answer(removed_ref, q))
-            ++correct;
-        }
-      }
-
-      GenerationManager::Stats gs;
-      if (server.epoch_pinned()) gs = server.generations()->stats();
-      const double ratio = still.p99_us > 0 ? churn.p99_us / still.p99_us : 0;
-      const char* mode = rcu ? "rcu" : "locked";
-      dump_metrics(sinks, server, "serve_churn_rcu", family, threads, mode);
-      rcu_table.add_row(family, threads, mode, churn.qps, still.p99_us,
-                        churn.p99_us, ratio, updates,
-                        correct == checked ? "yes" : "NO");
-      json.row()
-          .field("bench", "serve_churn_rcu")
-          .field("family", family)
-          .field("n", static_cast<uint64_t>(g.num_vertices()))
-          .field("m", static_cast<uint64_t>(g.num_edges()))
-          .field("threads", threads)
-          .field("mode", mode)
-          .field("seed", opt.seed)
-          .field("queries",
-                 static_cast<uint64_t>(per_thread *
-                                       static_cast<size_t>(threads)))
-          .field("updates", updates)
-          .field("qps_nochurn", still.qps)
-          .field("qps_churn", churn.qps)
-          .field("p50_nochurn_us", still.p50_us)
-          .field("p99_nochurn_us", still.p99_us)
-          .field("p50_churn_us", churn.p50_us)
-          .field("p99_churn_us", churn.p99_us)
-          .field("p99_ratio", ratio)
-          .field("epoch_pinned",
-                 static_cast<uint64_t>(server.epoch_pinned() ? 1 : 0))
-          .field("gen_published", gs.published)
-          .field("gen_retired", gs.retired)
-          .field("gen_publish_waits", gs.publish_waits)
-          .field("gen_live", gs.live)
-          .field("checked", static_cast<uint64_t>(checked))
-          .field("correct", static_cast<uint64_t>(correct))
-          .field("hw_threads",
-                 static_cast<uint64_t>(std::thread::hardware_concurrency()));
+    // Victim: a parent edge of hot root 0's current tree -- present on
+    // the pristine topology and guaranteed to invalidate hot trees, so
+    // every flap exercises the full publish + prewarm path, not a
+    // carried-forward no-op.
+    EdgeId victim;
+    {
+      Rng rng(hash_combine(opt.seed, 0x4cb7));
+      const auto tree = server.tree({hot_roots[0], {}, Direction::kOut});
+      const auto pool = parented_vertices(*tree);
+      victim = tree->parent_edge(pool[rng.next_below(pool.size())]);
     }
+    const Edge ends = g.endpoints(victim);
+
+    // Queries are generated off the pristine graph: the live one mutates
+    // under the mutator thread, and make_query only needs the stable
+    // vertex / edge-slot counts (tombstones keep both constant).
+    const size_t per_thread =
+        std::max<size_t>(1, opt.queries / static_cast<size_t>(threads));
+    std::vector<std::pair<Query, int32_t>> samples;
+    auto measure = [&](uint64_t phase_tag, bool keep_samples) {
+      std::vector<std::vector<double>> lat(threads);
+      std::vector<std::vector<std::pair<Query, int32_t>>> sm(threads);
+      Stopwatch wall;
+      std::vector<std::thread> workers;
+      workers.reserve(threads);
+      for (int w = 0; w < threads; ++w) {
+        workers.emplace_back([&, w, phase_tag, keep_samples] {
+          lat[w].reserve(per_thread);
+          for (size_t i = 0; i < per_thread; ++i) {
+            const uint64_t seq =
+                (phase_tag * static_cast<uint64_t>(threads) +
+                 static_cast<uint64_t>(w)) *
+                    per_thread +
+                i;
+            const Query q = make_query(g0, hot_roots, opt.seed, seq);
+            Stopwatch sw;
+            const int32_t got = run_query(server, q);
+            lat[w].push_back(sw.micros());
+            if (keep_samples && i % 64 == 0) sm[w].emplace_back(q, got);
+          }
+        });
+      }
+      for (auto& t : workers) t.join();
+      Measurement m;
+      m.wall_ms = wall.millis();
+      std::vector<double> all;
+      for (auto& l : lat) all.insert(all.end(), l.begin(), l.end());
+      std::sort(all.begin(), all.end());
+      m.p50_us = all[all.size() / 2];
+      m.p99_us = all[std::min(all.size() - 1, all.size() * 99 / 100)];
+      m.qps = static_cast<double>(all.size()) / (m.wall_ms / 1e3);
+      for (auto& s : sm) samples.insert(samples.end(), s.begin(), s.end());
+      return m;
+    };
+
+    // Phase 1: the quiet baseline (warms the hot trees as a side effect).
+    const Measurement still = measure(0, false);
+
+    // Phase 2: identical workload under continuous churn. Each mutator
+    // iteration ends healed, so the final topology equals the pristine
+    // one; the short pauses are the duty cycle a real control plane
+    // would have between delta batches.
+    std::atomic<bool> stop{false};
+    const uint64_t updates_before = server.updates_applied();
+    std::thread mutator([&] {
+      size_t pairs = 0;
+      // Floor of 4 flap pairs so tiny --small runs still measure churn.
+      while (!stop.load(std::memory_order_relaxed) || pairs < 4) {
+        server.apply_update(g, GraphDelta::remove(victim));
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        server.apply_update(g, GraphDelta::insert(ends.u, ends.v));
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        ++pairs;
+      }
+    });
+    const Measurement churn = measure(1, true);
+    stop.store(true, std::memory_order_relaxed);
+    mutator.join();
+    const uint64_t updates = server.updates_applied() - updates_before;
+
+    // Verify every sampled churn answer against rebuilds of both
+    // topologies the flap alternates between (same policy seed as the
+    // served scheme, so tiebreaking is bit-identical). A sample matching
+    // neither means a query mixed epochs.
+    size_t checked = 0, correct = 0;
+    {
+      const IsolationRpts full_ref(g0, IsolationAtw(7));
+      Graph removed = g0;
+      GraphDelta rm = GraphDelta::remove(victim);
+      removed.apply(rm);
+      const IsolationRpts removed_ref(removed, IsolationAtw(7));
+      for (const auto& [q, got] : samples) {
+        ++checked;
+        if (got == reference_answer(full_ref, q) ||
+            got == reference_answer(removed_ref, q))
+          ++correct;
+      }
+    }
+
+    const GenerationManager::Stats gs = server.generations()->stats();
+    const double ratio = still.p99_us > 0 ? churn.p99_us / still.p99_us : 0;
+    const char* mode = "rcu";
+    dump_metrics(sinks, server, "serve_churn_rcu", family, threads, mode);
+    rcu_table.add_row(family, threads, mode, churn.qps, still.p99_us,
+                      churn.p99_us, ratio, updates,
+                      correct == checked ? "yes" : "NO");
+    json.row()
+        .field("bench", "serve_churn_rcu")
+        .field("family", family)
+        .field("n", static_cast<uint64_t>(g.num_vertices()))
+        .field("m", static_cast<uint64_t>(g.num_edges()))
+        .field("threads", threads)
+        .field("mode", mode)
+        .field("seed", opt.seed)
+        .field("queries",
+               static_cast<uint64_t>(per_thread *
+                                     static_cast<size_t>(threads)))
+        .field("updates", updates)
+        .field("qps_nochurn", still.qps)
+        .field("qps_churn", churn.qps)
+        .field("p50_nochurn_us", still.p50_us)
+        .field("p99_nochurn_us", still.p99_us)
+        .field("p50_churn_us", churn.p50_us)
+        .field("p99_churn_us", churn.p99_us)
+        .field("p99_ratio", ratio)
+        .field("gen_published", gs.published)
+        .field("gen_retired", gs.retired)
+        .field("gen_publish_waits", gs.publish_waits)
+        .field("gen_live", gs.live)
+        .field("checked", static_cast<uint64_t>(checked))
+        .field("correct", static_cast<uint64_t>(correct))
+        .field("hw_threads",
+               static_cast<uint64_t>(std::thread::hardware_concurrency()));
   }
 }
 
@@ -2123,8 +2113,8 @@ int run(const Options& opt) {
   burst_table.print();
   std::cout << "\nEpoch-pinned (RCU) scenario: the same workload quiet vs "
                "under a background mutator flapping one hot edge;\nmode rcu "
-               "= lock-free epoch-pinned reads (default), locked = "
-               "shared_mutex baseline. p99_ratio = p99_churn / p99_quiet;\n"
+               "= lock-free epoch-pinned reads. p99_ratio = p99_churn / "
+               "p99_quiet;\n"
                "answers_ok = every sampled churn answer matched a rebuild "
                "of one of the two live topologies:\n";
   rcu_table.print();

@@ -245,16 +245,10 @@ class IRpts {
   // the view's trees are then bit-identical to this scheme's trees at the
   // snapshot's epoch, and because scheme_id carries over, they share cache
   // keys with them too. The caller keeps `frozen` alive for the view's
-  // lifetime (the generation owns both).
-  //
-  // Default: nullptr = "cannot rebind". OracleServer treats that as "this
-  // scheme does not support epoch-pinned reads" and falls back to the
-  // shared-lock query path, so third-party IRpts implementations stay
-  // correct without opting in.
-  virtual std::unique_ptr<IRpts> snapshot_view(const Graph& frozen) const {
-    (void)frozen;
-    return nullptr;
-  }
+  // lifetime (the generation owns both). Every query OracleShard serves
+  // reads such a view, so every scheme must provide one; a shard rejects a
+  // scheme whose view comes back null (std::invalid_argument).
+  virtual std::unique_ptr<IRpts> snapshot_view(const Graph& frozen) const = 0;
 
   // pi(s, t | F), oriented s -> t. Empty if t is unreachable in G \ F.
   Path path(Vertex s, Vertex t, const FaultSet& faults = {}) const {

@@ -30,6 +30,13 @@ bool Spt::uses_edge(EdgeId e) const {
   return std::find(cpe_.begin(), cpe_.end(), e) != cpe_.end();
 }
 
+bool Spt::path_uses_edge(Vertex v, EdgeId e) const {
+  if (!reachable(v)) return false;
+  for (Vertex x = v; x != root; x = parent(x))
+    if (parent_edge(x) == e) return true;
+  return false;
+}
+
 std::vector<char> Spt::paths_using_edge(EdgeId e) const {
   std::vector<char> uses(num_vertices(), 0);
   for (Vertex v : top_order()) {

@@ -159,6 +159,12 @@ class Spt {
   // carry-forward (IRpts::tree_survives).
   bool uses_edge(EdgeId e) const;
 
+  // Whether the selected path root~v uses edge e (in either orientation):
+  // an O(depth) parent-chain walk, false for the root and unreachable v.
+  // This is the per-query stability test (Definition 13): a fault off the
+  // selected path leaves pi(root, v) -- hence its length -- unchanged.
+  bool path_uses_edge(Vertex v, EdgeId e) const;
+
   // For every vertex v: whether the tree path root~v uses edge e (in either
   // orientation). One O(n) pass via parent propagation.
   std::vector<char> paths_using_edge(EdgeId e) const;

@@ -209,7 +209,7 @@ struct MetricsSnapshot {
   std::vector<ComponentSnapshot> components;
 
   // nullptr when absent -- callers probing optional components (no cache,
-  // shared-lock regime) branch on this.
+  // no batcher) branch on this.
   const MetricValue* find(std::string_view component,
                           std::string_view metric) const;
   int64_t value_or(std::string_view component, std::string_view metric,

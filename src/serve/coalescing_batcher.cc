@@ -10,7 +10,7 @@ namespace restorable {
 
 CoalescingBatcher::Enrollment CoalescingBatcher::enroll(
     const SptKey& key, const SsspRequest& req,
-    const GenerationManager::Pin* pin) {
+    const GenerationManager::Pin& pin) {
   std::lock_guard<std::mutex> lock(mu_);
   requests_.fetch_add(1, std::memory_order_relaxed);
   Enrollment e;
@@ -32,12 +32,10 @@ CoalescingBatcher::Enrollment CoalescingBatcher::enroll(
   e.fl = std::make_shared<InFlight>();
   const auto ins = inflight_.emplace(key, e.fl);
   try {
-    // The flight clones the caller's pin (when given), keeping the keyed
-    // generation alive until the flush resolves it -- later coalescers need
-    // no pin of their own, the flight's one covers the result they share.
-    pending_.push_back(Pending{key, req,
-                               pin ? *pin : GenerationManager::Pin{},
-                               obs::now_ns()});
+    // The flight clones the caller's pin, keeping the keyed generation
+    // alive until the flush resolves it -- later coalescers need no pin of
+    // their own, the flight's one covers the result they share.
+    pending_.push_back(Pending{key, req, pin, obs::now_ns()});
   } catch (...) {
     // Keep inflight_ and pending_ consistent: an entry in inflight_ with no
     // pending twin would make every later caller coalesce onto a flight
@@ -101,18 +99,17 @@ void CoalescingBatcher::flush_loop() {
     // always exactly one; briefly two around a publish, since keys embed
     // the epoch and so never mix generations within one flight); no batcher
     // lock held, so new misses keep accumulating in pending_ meanwhile.
-    // Each group computes on its own pinned frozen snapshot -- or on the
-    // live scheme for unpinned legacy flights -- so a flush races no epoch
-    // bump. Everything that can throw (e.g. bad_alloc) stays inside a try:
-    // a throw must fail the affected group's flights, not abandon the
-    // batch, so flushing_ can never be left stuck true and no waiter blocks
-    // forever.
+    // Each group computes on its own pinned frozen snapshot, so a flush
+    // races no epoch bump. Everything that can throw (e.g. bad_alloc) stays
+    // inside a try: a throw must fail the affected group's flights, not
+    // abandon the batch, so flushing_ can never be left stuck true and no
+    // waiter blocks forever.
     std::vector<SptHandle> trees(batch.size());
     std::vector<std::exception_ptr> errors(batch.size());
     std::vector<uint64_t> compute_ns(batch.size(), 0);
     std::vector<const Generation*> groups;
     for (const Pending& p : batch) {
-      const Generation* gen = p.pin ? p.pin.get() : nullptr;
+      const Generation* gen = p.pin.get();
       if (std::find(groups.begin(), groups.end(), gen) == groups.end())
         groups.push_back(gen);
     }
@@ -120,14 +117,13 @@ void CoalescingBatcher::flush_loop() {
       std::vector<size_t> members;
       std::vector<SsspRequest> reqs;
       for (size_t i = 0; i < batch.size(); ++i) {
-        if ((batch[i].pin ? batch[i].pin.get() : nullptr) != gen) continue;
+        if (batch[i].pin.get() != gen) continue;
         members.push_back(i);
         reqs.push_back(batch[i].req);
       }
       try {
-        const IRpts& scheme = gen ? *gen->scheme : *pi_;
         const uint64_t c0 = obs::now_ns();
-        auto group_trees = scheme.spt_batch(reqs, engine_, nullptr);
+        auto group_trees = gen->scheme->spt_batch(reqs, engine_, nullptr);
         const uint64_t c_dur = obs::now_ns() - c0;
         for (size_t k = 0; k < members.size(); ++k) {
           trees[members[k]] = std::move(group_trees[k]);
@@ -196,23 +192,6 @@ void CoalescingBatcher::flush_loop() {
   }
 }
 
-SptHandle CoalescingBatcher::get(const SsspRequest& req, FetchObs* obs) {
-  const SptKey key(pi_->version(), req);
-  if (cache_) {
-    // Hit fast path: shard lock only, no batcher mutex.
-    if (auto tree = cache_->lookup(key)) {
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      return tree;  // obs->outcome stays kHit
-    }
-  }
-  Enrollment e = enroll(key, req, nullptr);
-  if (e.hit) return e.hit;  // locked double-check hit: still kHit
-  if (obs)
-    obs->outcome = e.leader ? FetchObs::kLeader : FetchObs::kCoalesced;
-  if (e.leader) flush_loop();
-  return await(*e.fl, obs);
-}
-
 SptHandle CoalescingBatcher::get(const SsspRequest& req,
                                  const GenerationManager::Pin& pin,
                                  FetchObs* obs) {
@@ -224,7 +203,7 @@ SptHandle CoalescingBatcher::get(const SsspRequest& req,
       return tree;  // obs->outcome stays kHit
     }
   }
-  Enrollment e = enroll(key, req, &pin);
+  Enrollment e = enroll(key, req, pin);
   if (e.hit) return e.hit;  // locked double-check hit: still kHit
   if (obs)
     obs->outcome = e.leader ? FetchObs::kLeader : FetchObs::kCoalesced;
@@ -233,13 +212,10 @@ SptHandle CoalescingBatcher::get(const SsspRequest& req,
 }
 
 std::vector<SptHandle> CoalescingBatcher::get_batch(
-    std::span<const SsspRequest> requests, const GenerationManager::Pin* pin,
+    std::span<const SsspRequest> requests, const GenerationManager::Pin& pin,
     std::vector<FetchObs>* obs) {
-  // An empty pin degrades to the live-version path, matching the pinned
-  // get() overload's contract that the pin's generation keys the flight.
-  if (pin && !*pin) pin = nullptr;
   if (obs) obs->assign(requests.size(), FetchObs{});
-  const SchemeVersion version = pin ? (*pin)->version() : pi_->version();
+  const SchemeVersion version = pin->version();
   std::vector<SptHandle> out(requests.size());
   std::vector<std::pair<size_t, std::shared_ptr<InFlight>>> waits;
   bool leader = false;

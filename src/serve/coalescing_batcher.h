@@ -1,5 +1,9 @@
 // Single-flight request coalescing in front of the batch-SSSP engine.
 //
+// Every fetch reads one pinned generation (serve/generation.h): the key is
+// that generation's (scheme_id, epoch) version and the compute runs on its
+// frozen scheme view, so the batcher never touches the live graph or scheme.
+//
 // Under serving load, many threads ask for trees at once and the popular
 // keys repeat: N concurrent callers of the same (root, faults, dir) must
 // trigger ONE Dijkstra, and concurrent misses on different keys should ride
@@ -31,7 +35,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/rpts.h"
 #include "core/spt.h"
 #include "obs/metrics.h"
 #include "serve/generation.h"
@@ -95,44 +98,43 @@ class CoalescingBatcher {
   // `max_batch` caps how many pending keys one flush drains (0 =
   // unbounded): under overload the leader issues bounded engine batches,
   // keeping per-flush latency bounded while the queue drains in order.
-  CoalescingBatcher(const IRpts& pi, SptCache* cache,
-                    const BatchSsspEngine* engine = nullptr,
-                    size_t max_batch = 0)
-      : pi_(&pi), cache_(cache), engine_(engine), max_batch_(max_batch) {}
+  explicit CoalescingBatcher(SptCache* cache,
+                             const BatchSsspEngine* engine = nullptr,
+                             size_t max_batch = 0)
+      : cache_(cache), engine_(engine), max_batch_(max_batch) {}
 
   CoalescingBatcher(const CoalescingBatcher&) = delete;
   CoalescingBatcher& operator=(const CoalescingBatcher&) = delete;
 
-  // The tree for `req`, from cache, an in-flight computation, or a fresh
-  // engine batch this caller leads. Thread-safe; blocks only while the tree
-  // is genuinely being computed. If the compute batch throws (e.g.
-  // bad_alloc), the exception propagates to every caller waiting on that
-  // batch and the batcher stays serviceable for later requests. `obs`, when
-  // non-null, receives the fetch's outcome + latency decomposition.
-  SptHandle get(const SsspRequest& req, FetchObs* obs = nullptr);
-
-  // Epoch-pinned variant: the key is derived from the pinned generation's
-  // version and the flight CARRIES a clone of the pin, so the compute runs
-  // against that generation's frozen snapshot even if a publish lands
-  // between enroll and flush -- a flush races no epoch bump, it just keeps
-  // the generation it started on alive until its last flight resolves.
-  // Because the epoch is part of the key, flights from different
-  // generations never coalesce with each other; one flush drain groups them
-  // by generation and issues one engine batch per group.
+  // The tree for `req` in the pinned generation (`pin` must be non-empty),
+  // from cache, an in-flight computation, or a fresh engine batch this
+  // caller leads. Thread-safe; blocks only while the tree is genuinely being
+  // computed. If the compute batch throws (e.g. bad_alloc), the exception
+  // propagates to every caller waiting on that batch and the batcher stays
+  // serviceable for later requests. `obs`, when non-null, receives the
+  // fetch's outcome + latency decomposition.
+  //
+  // The key is derived from the pinned generation's version and the flight
+  // CARRIES a clone of the pin, so the compute runs against that
+  // generation's frozen snapshot even if a publish lands between enroll and
+  // flush -- a flush races no epoch bump, it just keeps the generation it
+  // started on alive until its last flight resolves. Because the epoch is
+  // part of the key, flights from different generations never coalesce with
+  // each other; one flush drain groups them by generation and issues one
+  // engine batch per group.
   SptHandle get(const SsspRequest& req, const GenerationManager::Pin& pin,
                 FetchObs* obs = nullptr);
 
   // Batch variant: registers every miss before flushing once, so the whole
   // batch rides one engine submission (plus whatever concurrent callers
-  // piled on). Results in request order. `pin`, when non-null (and
-  // non-empty), keys and computes every fetch against that pinned
-  // generation, exactly as the pinned get() -- this is what
-  // OracleShard::serve_batch rides, so a whole per-shard sub-batch from the
-  // aggregation layer is one epoch-coherent engine submission. `obs`, when
-  // non-null, is resized to requests.size() and receives each fetch's
-  // outcome + latency decomposition.
+  // piled on), keyed and computed against the pinned generation exactly as
+  // get(). Results in request order. This is what OracleShard::serve_batch
+  // rides, so a whole per-shard sub-batch from the front-end is one
+  // epoch-coherent engine submission. `obs`, when non-null, is resized to
+  // requests.size() and receives each fetch's outcome + latency
+  // decomposition.
   std::vector<SptHandle> get_batch(std::span<const SsspRequest> requests,
-                                   const GenerationManager::Pin* pin = nullptr,
+                                   const GenerationManager::Pin& pin,
                                    std::vector<FetchObs>* obs = nullptr);
 
   Stats stats() const;
@@ -159,10 +161,9 @@ class CoalescingBatcher {
     bool leader = false;
   };
 
-  // One not-yet-flushed miss. `pin` (empty on the legacy/live path) keeps
-  // the generation whose version keyed this flight alive until the flush
-  // resolves it; the flush computes on pin->scheme when set, on the live
-  // scheme otherwise.
+  // One not-yet-flushed miss. `pin` keeps the generation whose version
+  // keyed this flight alive until the flush resolves it; the flush computes
+  // on pin->scheme.
   struct Pending {
     SptKey key;
     SsspRequest req;
@@ -171,11 +172,10 @@ class CoalescingBatcher {
   };
 
   Enrollment enroll(const SptKey& key, const SsspRequest& req,
-                    const GenerationManager::Pin* pin);
+                    const GenerationManager::Pin& pin);
   void flush_loop();
   static SptHandle await(InFlight& fl, FetchObs* obs);
 
-  const IRpts* pi_;
   SptCache* cache_;
   const BatchSsspEngine* engine_;
   const size_t max_batch_;  // 0 = drain everything per flush

@@ -72,7 +72,7 @@ class GenerationManager {
   // (snapshot, scheme view, and every tree computed from them) stays alive;
   // copying re-pins the SAME generation (not the current one), so a query
   // that needs several fetches under one coherent epoch clones its pin.
-  // Default-constructed pins are empty (used by the shared-lock fallback).
+  // Default-constructed and moved-from pins are empty.
   class Pin {
    public:
     Pin() = default;

@@ -2,6 +2,7 @@
 
 #include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "util/timing.h"
 
@@ -41,26 +42,49 @@ const char* escalation_reason_name(EscalationReason r) {
   }
   return "?";
 }
+
+// One generation: `snap` plus `pi` rebound to it. Throws when the scheme
+// cannot rebind -- a shard has no query path that reads anything else.
+std::unique_ptr<const Generation> make_generation(const IRpts& pi,
+                                                  GraphSnapshot snap) {
+  auto gen = std::make_unique<Generation>();
+  gen->graph = std::move(snap);
+  gen->scheme = pi.snapshot_view(*gen->graph);
+  if (!gen->scheme)
+    throw std::invalid_argument("OracleShard: scheme '" + pi.name() +
+                                "' has no snapshot_view");
+  return gen;
+}
 }  // namespace
 
+UpdateResult UpdateResult::of(DeltaBatch batch) {
+  UpdateResult res;
+  res.batch = std::move(batch);
+  if (!res.batch.deltas.empty()) res.delta = res.batch.deltas.front();
+  res.old_epoch = res.batch.old_epoch;
+  res.new_epoch = res.batch.new_epoch;
+  res.changed = res.batch.changed();
+  return res;
+}
+
+void check_query_vertex(const GenerationManager::Pin& pin, Vertex v) {
+  const Vertex n = pin->graph->num_vertices();
+  if (v >= n)
+    throw std::invalid_argument("query vertex " + std::to_string(v) +
+                                " out of range (graph has " +
+                                std::to_string(n) + " vertices)");
+}
+
 OracleShard::OracleShard(const IRpts& pi, ServerConfig config)
-    : pi_(&pi), config_(std::move(config)) {
-  if (config_.concurrency == QueryConcurrency::kEpochPinned) {
-    // Bootstrap generation 0 from the current topology. A scheme that
-    // cannot rebind to a snapshot (snapshot_view returns null) leaves gens_
-    // null and the server on the shared-lock path -- correct, just not
-    // lock-free.
-    auto gen = std::make_unique<Generation>();
-    gen->graph = pi_->graph().snapshot();
-    gen->scheme = pi_->snapshot_view(*gen->graph);
-    if (gen->scheme)
-      gens_ = std::make_unique<GenerationManager>(std::move(gen));
-  }
+    : pi_(&pi),
+      config_(std::move(config)),
+      gens_(std::make_unique<GenerationManager>(
+          make_generation(pi, pi.graph().snapshot()))) {
   if (config_.enable_cache)
     cache_ = std::make_unique<SptCache>(config_.cache);
   if (config_.enable_coalescing)
     batcher_ = std::make_unique<CoalescingBatcher>(
-        pi, cache_.get(), config_.engine, config_.max_batch);
+        cache_.get(), config_.engine, config_.max_batch);
   metrics_ = config_.metrics;
   if (!metrics_) {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
@@ -153,18 +177,16 @@ void OracleShard::register_providers() {
                       s.batch_hist_sum);
         }));
   }
-  if (gens_) {
-    registrations_.push_back(
-        metrics_->add(comp("generations"), [this](obs::ComponentBuilder& b) {
-          const GenerationManager::Stats s = gens_->stats();
-          b.counter("published", s.published);
-          b.counter("retired", s.retired);
-          b.counter("publish_waits", s.publish_waits);
-          b.counter("publish_wait_ns", s.publish_wait_ns);
-          b.gauge("live", static_cast<int64_t>(s.live));
-          b.gauge("pins_now", static_cast<int64_t>(s.pins_now));
-        }));
-  }
+  registrations_.push_back(
+      metrics_->add(comp("generations"), [this](obs::ComponentBuilder& b) {
+        const GenerationManager::Stats s = gens_->stats();
+        b.counter("published", s.published);
+        b.counter("retired", s.retired);
+        b.counter("publish_waits", s.publish_waits);
+        b.counter("publish_wait_ns", s.publish_wait_ns);
+        b.gauge("live", static_cast<int64_t>(s.live));
+        b.gauge("pins_now", static_cast<int64_t>(s.pins_now));
+      }));
   registrations_.push_back(
       metrics_->add(comp("engine"), [this](obs::ComponentBuilder& b) {
         // NOTE: with no configured engine this reads the process-wide
@@ -176,9 +198,11 @@ void OracleShard::register_providers() {
       }));
 }
 
-SptHandle OracleShard::fetch_tree(const SsspRequest& req, FetchObs* obs) {
-  if (batcher_) return batcher_->get(req, obs);
-  const SptKey key(pi_->version(), req);
+SptHandle OracleShard::fetch_tree(const SsspRequest& req,
+                                  const GenerationManager::Pin& pin,
+                                  FetchObs* obs) {
+  if (batcher_) return batcher_->get(req, pin, obs);
+  const SptKey key(pin->version(), req);
   if (cache_) {
     if (auto t = cache_->lookup(key)) return t;  // obs->outcome stays kHit
   }
@@ -192,33 +216,6 @@ SptHandle OracleShard::fetch_tree(const SsspRequest& req, FetchObs* obs) {
     // epsilon-aware entry point (Rpts routes it through the engine's relaxed
     // mode). A scheme whose spt_batch ignores eps_q returns exact trees
     // under the approximate key -- sound, just stretch-free.
-    t = pi_->spt_batch(std::span<const SsspRequest>(&req, 1),
-                       config_.engine, nullptr)[0];
-  } else {
-    Spt computed = pi_->spt(req.root, req.faults, req.dir);
-    if (cache_ && cache_->compact_trees()) computed.compact();
-    t = std::make_shared<const Spt>(std::move(computed));
-  }
-  if (obs) obs->compute_ns = obs::now_ns() - c0;
-  direct_bytes_.fetch_add(t->memory_bytes(), std::memory_order_relaxed);
-  if (cache_) {
-    if (auto resident = cache_->insert(key, t)) return resident;
-  }
-  return t;
-}
-
-SptHandle OracleShard::fetch_tree_pinned(const SsspRequest& req,
-                                         const GenerationManager::Pin& pin,
-                                         FetchObs* obs) {
-  if (batcher_) return batcher_->get(req, pin, obs);
-  const SptKey key(pin->version(), req);
-  if (cache_) {
-    if (auto t = cache_->lookup(key)) return t;  // obs->outcome stays kHit
-  }
-  if (obs) obs->outcome = FetchObs::kLeader;
-  const uint64_t c0 = obs::now_ns();
-  SptHandle t;
-  if (req.eps_q) {
     t = pin->scheme->spt_batch(std::span<const SsspRequest>(&req, 1),
                                config_.engine, nullptr)[0];
   } else {
@@ -336,12 +333,11 @@ void OracleShard::book_fetch(FetchOutcome outcome, const SsspRequest& req,
 }
 
 SptHandle OracleShard::fetch_classified(const SsspRequest& req,
-                                        const GenerationManager::Pin* pin,
+                                        const GenerationManager::Pin& pin,
                                         QueryCtx& ctx, bool escalated) {
   FetchObs fo;
   const uint64_t f0 = obs::now_ns();
-  SptHandle tree = pin ? fetch_tree_pinned(req, *pin, &fo)
-                       : fetch_tree(req, &fo);
+  SptHandle tree = fetch_tree(req, pin, &fo);
   if constexpr (!obs::kEnabled) return tree;
   const uint64_t dur = obs::now_ns() - f0;
   book_fetch(classify_fetch(req, fo, escalated), req, fo, f0, dur, &ctx);
@@ -351,6 +347,7 @@ SptHandle OracleShard::fetch_classified(const SsspRequest& req,
 std::vector<SptHandle> OracleShard::serve_batch(
     std::span<const SsspRequest> requests, const GenerationManager::Pin& pin,
     std::vector<FetchObs>* obs) {
+  for (const SsspRequest& req : requests) check_query_vertex(pin, req.root);
   queries_.fetch_add(requests.size(), std::memory_order_relaxed);
   std::vector<FetchObs> local_obs;
   std::vector<FetchObs>& fos = obs ? *obs : local_obs;
@@ -358,15 +355,12 @@ std::vector<SptHandle> OracleShard::serve_batch(
   const uint64_t f0 = obs::now_ns();
   std::vector<SptHandle> out;
   if (batcher_) {
-    out = batcher_->get_batch(requests, pin ? &pin : nullptr, &fos);
+    out = batcher_->get_batch(requests, pin, &fos);
   } else {
+    // No batcher: per-request fetches (no coalescing to lose).
     out.resize(requests.size());
-    // No batcher: fall back to per-request fetches (no coalescing to lose).
-    std::shared_lock<std::shared_mutex> guard(update_mu_, std::defer_lock);
-    if (!pin) guard.lock();
     for (size_t i = 0; i < requests.size(); ++i)
-      out[i] = pin ? fetch_tree_pinned(requests[i], pin, &fos[i])
-                   : fetch_tree(requests[i], &fos[i]);
+      out[i] = fetch_tree(requests[i], pin, &fos[i]);
   }
   if constexpr (obs::kEnabled) {
     // The whole batch's wall time is every element's latency sample: an
@@ -418,15 +412,10 @@ void OracleShard::record_stretch(int32_t exact_hops, int32_t approx_hops) {
 }
 
 SptHandle OracleShard::tree(const SsspRequest& req) {
+  const GenerationManager::Pin pin = gens_->pin();
+  check_query_vertex(pin, req.root);
   QueryCtx ctx = begin_query("tree");
-  SptHandle t;
-  if (gens_) {
-    const GenerationManager::Pin pin = gens_->pin();
-    t = fetch_classified(req, &pin, ctx);
-  } else {
-    std::shared_lock<std::shared_mutex> guard(update_mu_);
-    t = fetch_classified(req, nullptr, ctx);
-  }
+  SptHandle t = fetch_classified(req, pin, ctx);
   end_query(ctx);
   return t;
 }
@@ -490,6 +479,11 @@ ServerStats OracleShard::stats() const {
 
 int32_t OracleShard::distance(Vertex s, Vertex t, const FaultSet& faults,
                               const QueryOpts& opts) {
+  // One pin across every fetch this query performs: an approximate answer
+  // and its exact re-check always read the same epoch.
+  const GenerationManager::Pin pin = gens_->pin();
+  check_query_vertex(pin, s);
+  check_query_vertex(pin, t);
   queries_.fetch_add(1, std::memory_order_relaxed);
   QueryCtx ctx = begin_query("distance");
   const uint32_t eps_q = effective_eps_q(opts);
@@ -500,24 +494,14 @@ int32_t OracleShard::distance(Vertex s, Vertex t, const FaultSet& faults,
       (opts.epsilon < 0.0 ? quantize_epsilon(config_.default_epsilon)
                           : quantize_epsilon(opts.epsilon)) > 0;
 
-  // One pin (or one guard) across every fetch this query performs: an
-  // approximate answer and its exact re-check always read the same epoch.
-  GenerationManager::Pin pin;
-  std::shared_lock<std::shared_mutex> guard(update_mu_, std::defer_lock);
-  if (gens_)
-    pin = gens_->pin();
-  else
-    guard.lock();
-  const GenerationManager::Pin* p = gens_ ? &pin : nullptr;
-
   int32_t ans;
   if (eps_q == 0) {
     if (explicit_escalation) note_escalation(EscalationReason::kExplicit);
-    ans = fetch_classified({s, faults, Direction::kOut}, p, ctx,
+    ans = fetch_classified({s, faults, Direction::kOut}, pin, ctx,
                            explicit_escalation)
               ->hops(t);
   } else {
-    ans = fetch_classified({s, faults, Direction::kOut, eps_q}, p, ctx)
+    ans = fetch_classified({s, faults, Direction::kOut, eps_q}, pin, ctx)
               ->hops(t);
     if (stretch_probe_fires()) {
       // Sampled exact re-check: escalate, record the observed excess, and
@@ -525,7 +509,7 @@ int32_t OracleShard::distance(Vertex s, Vertex t, const FaultSet& faults,
       // for the monitoring it funded).
       note_escalation(EscalationReason::kStretchRecheck);
       const int32_t exact =
-          fetch_classified({s, faults, Direction::kOut}, p, ctx, true)
+          fetch_classified({s, faults, Direction::kOut}, pin, ctx, true)
               ->hops(t);
       record_stretch(exact, ans);
       ans = exact;
@@ -536,27 +520,27 @@ int32_t OracleShard::distance(Vertex s, Vertex t, const FaultSet& faults,
 }
 
 Path OracleShard::path(Vertex s, Vertex t, const FaultSet& faults) {
+  const GenerationManager::Pin pin = gens_->pin();
+  check_query_vertex(pin, s);
+  check_query_vertex(pin, t);
   queries_.fetch_add(1, std::memory_order_relaxed);
   QueryCtx ctx = begin_query("path");
   // Path reconstruction always runs on the exact tier: on an
   // approximate-tier server that is an escalation (reason `path`).
   const bool escalated = quantize_epsilon(config_.default_epsilon) > 0;
   if (escalated) note_escalation(EscalationReason::kPath);
-  Path p;
-  if (gens_) {
-    const GenerationManager::Pin pin = gens_->pin();
-    p = fetch_classified({s, faults, Direction::kOut}, &pin, ctx, escalated)
-            ->path_to(t);
-  } else {
-    std::shared_lock<std::shared_mutex> guard(update_mu_);
-    p = fetch_classified({s, faults, Direction::kOut}, nullptr, ctx, escalated)
-            ->path_to(t);
-  }
+  Path p = fetch_classified({s, faults, Direction::kOut}, pin, ctx, escalated)
+               ->path_to(t);
   end_query(ctx);
   return p;
 }
 
 int32_t OracleShard::replacement_distance(Vertex s, Vertex t, EdgeId e) {
+  // One pin across both fetches: the base tree and the fault tree of a
+  // single query always belong to the same epoch.
+  const GenerationManager::Pin pin = gens_->pin();
+  check_query_vertex(pin, s);
+  check_query_vertex(pin, t);
   queries_.fetch_add(1, std::memory_order_relaxed);
   QueryCtx ctx = begin_query("replacement_distance");
   // The stability fast path walks an exact parent chain, and the fault tree
@@ -564,16 +548,8 @@ int32_t OracleShard::replacement_distance(Vertex s, Vertex t, EdgeId e) {
   // queries always escalate on an approximate-tier server.
   const bool escalated = quantize_epsilon(config_.default_epsilon) > 0;
   if (escalated) note_escalation(EscalationReason::kPath);
-  // One pin (or one guard) across both fetches: the base tree and the fault
-  // tree of a single query always belong to the same epoch.
-  GenerationManager::Pin pin;
-  std::shared_lock<std::shared_mutex> guard(update_mu_, std::defer_lock);
-  if (gens_)
-    pin = gens_->pin();
-  else
-    guard.lock();
   auto fetch = [&](const SsspRequest& req) {
-    return fetch_classified(req, pin ? &pin : nullptr, ctx, escalated);
+    return fetch_classified(req, pin, ctx, escalated);
   };
   auto finish = [&](int32_t ans) {
     end_query(ctx);
@@ -587,14 +563,7 @@ int32_t OracleShard::replacement_distance(Vertex s, Vertex t, EdgeId e) {
   // Stability (Definition 13): a fault off the selected path leaves the
   // selection -- hence the distance -- unchanged. Walking the O(d) parent
   // chain beats building the fault tree whenever the path avoids e.
-  bool on_path = false;
-  for (Vertex x = t; x != s; x = base->parent(x)) {
-    if (base->parent_edge(x) == e) {
-      on_path = true;
-      break;
-    }
-  }
-  if (!on_path) {
+  if (!base->path_uses_edge(t, e)) {
     stability_hits_.fetch_add(1, std::memory_order_relaxed);
     return finish(base->hops(t));
   }
@@ -650,95 +619,25 @@ UpdateResult OracleShard::apply_updates(Graph& graph,
   if (&graph != &pi_->graph())
     throw std::invalid_argument(
         "apply_updates: graph is not the served scheme's graph");
-  if (gens_) return apply_updates_pinned(graph, deltas);
-  CounterTimer apply_timer(&apply_ns_);
-  UpdateResult res;
-  std::vector<SptCache::Invalidated> invalidated;
-  SptCache::AdvanceStats adv;
-  {
-    std::unique_lock<std::shared_mutex> guard(update_mu_);
-    res.batch = graph.apply(deltas);
-    if (!res.batch.deltas.empty()) res.delta = res.batch.deltas.front();
-    res.old_epoch = res.batch.old_epoch;
-    res.new_epoch = res.batch.new_epoch;
-    res.changed = res.batch.changed();
-    if (!res.changed) return res;
-    updates_.fetch_add(1, std::memory_order_relaxed);
-    if (!cache_) return res;
-
-    // ONE cache walk for the whole burst, deciding carry-forward against
-    // the batch's net effect: a flap healed within the batch has no net
-    // delta and every tree survives it vacuously.
-    adv = cache_->advance_epoch(
-        pi_->scheme_id(), res.old_epoch, res.new_epoch,
-        [&](const SptKey& key, const Spt& tree) {
-          // Approximate-tier entries survive under the epsilon-slack test
-          // (invariant F, core/rpts.h) -- measurably more of them carry
-          // forward than exact entries under the same churn.
-          return key.eps_q
-                     ? pi_->batch_survives_eps(res.batch, tree,
-                                               key.fault_set(), key.eps_q)
-                     : pi_->batch_survives(res.batch, tree, key.fault_set());
-        },
-        config_.prewarm_on_update ? &invalidated : nullptr);
-  }
-  res.carried = adv.carried;
-  res.invalidated = adv.invalidated;
-  res.purged_stale = adv.purged_stale;
-
-  if (!invalidated.empty()) {
-    // Re-admit exactly the trees the batch touched, as ONE engine batch at
-    // the new epoch: each non-survivor is repaired incrementally from its
-    // old tree (Ramalingam-Reps subtree reanchoring) where the affected
-    // region is small, recomputed from scratch otherwise -- bit-identical
-    // either way. This runs OUTSIDE the exclusive section -- queries on
-    // carried trees resume immediately instead of stalling behind the
-    // repairs -- but under a shared guard, so no later update can mutate
-    // the CSR mid-batch. A query racing the repair at worst duplicates one
-    // compute; first-writer-wins keeps the cache consistent.
-    std::shared_lock<std::shared_mutex> guard(update_mu_);
-    repair_invalidated(res.batch, invalidated, res);
-  }
-  return res;
-}
-
-UpdateResult OracleShard::apply_updates_pinned(
-    Graph& graph, std::span<const GraphDelta> deltas) {
   // Build-publish-retire. Everything here runs under the mutator mutex and
   // NEVER blocks a query: readers compute on pinned generations, and the
   // live graph -- which this function mutates and the repair batch reads --
   // is touched by nobody else. publish() below is the only ordering point
   // readers observe.
-  UpdateResult res;
   std::lock_guard<std::mutex> mutator(mutator_mu_);
   CounterTimer apply_timer(&apply_ns_);
-  res.batch = graph.apply(deltas);
-  if (!res.batch.deltas.empty()) res.delta = res.batch.deltas.front();
-  res.old_epoch = res.batch.old_epoch;
-  res.new_epoch = res.batch.new_epoch;
-  res.changed = res.batch.changed();
-  if (!res.changed) return res;
-  absorb_locked(res, graph.snapshot(), nullptr);
+  UpdateResult res = UpdateResult::of(graph.apply(deltas));
+  if (res.changed) absorb_locked(res, graph.snapshot(), nullptr);
   return res;
 }
 
 UpdateResult OracleShard::absorb_update(
     const DeltaBatch& batch, const GraphSnapshot& snap,
     std::vector<SptCache::Invalidated>* deferred) {
-  if (!gens_)
-    throw std::logic_error(
-        "absorb_update: shard is not epoch-pinned (shared-lock fallback "
-        "cannot absorb an externally-applied mutation)");
-  UpdateResult res;
   std::lock_guard<std::mutex> mutator(mutator_mu_);
   CounterTimer apply_timer(&apply_ns_);
-  res.batch = batch;
-  if (!res.batch.deltas.empty()) res.delta = res.batch.deltas.front();
-  res.old_epoch = res.batch.old_epoch;
-  res.new_epoch = res.batch.new_epoch;
-  res.changed = res.batch.changed();
-  if (!res.changed) return res;
-  absorb_locked(res, snap, deferred);
+  UpdateResult res = UpdateResult::of(batch);
+  if (res.changed) absorb_locked(res, snap, deferred);
   return res;
 }
 
@@ -749,9 +648,7 @@ void OracleShard::absorb_locked(
 
   // Build the next generation off to the side while readers keep serving
   // the published one.
-  auto next = std::make_unique<Generation>();
-  next->graph = std::move(snap);
-  next->scheme = pi_->snapshot_view(*next->graph);
+  auto next = make_generation(*pi_, std::move(snap));
 
   SptCache::AdvanceStats adv;
   std::vector<SptCache::Invalidated> invalidated;
@@ -788,10 +685,12 @@ void OracleShard::absorb_locked(
     *deferred = std::move(invalidated);
     return;
   }
-  // Repair the non-survivors at the new epoch, exactly as the shared-lock
-  // path does, but with no guard at all: the mutator mutex already
-  // excludes the only other writer of the live CSR, and readers never
-  // dereference it.
+  // Re-admit exactly the trees the batch touched, as ONE engine batch at the
+  // new epoch: each non-survivor is repaired incrementally from its old
+  // tree (Ramalingam-Reps subtree reanchoring) where the affected region is
+  // small, recomputed from scratch otherwise -- bit-identical either way.
+  // No guard is needed: the mutator mutex already excludes the only other
+  // writer of the live CSR, and readers never dereference it.
   repair_invalidated(res.batch, invalidated, res);
 }
 

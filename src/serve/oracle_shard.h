@@ -2,9 +2,9 @@
 //
 // An OracleShard owns the full single-node serving stack for one scheme --
 // a sharded SPT cache (serve/spt_cache.h), a single-flight coalescing
-// batcher (serve/coalescing_batcher.h), and (in the default regime) an RCU
-// generation manager (serve/generation.h) -- and answers mixed (s, t, F)
-// queries from any number of threads:
+// batcher (serve/coalescing_batcher.h), and an RCU generation manager
+// (serve/generation.h) -- and answers mixed (s, t, F) queries from any
+// number of threads:
 //
 //   distance(s, t, F)              hops of pi(s, t | F)
 //   path(s, t, F)                  the selected path itself
@@ -29,15 +29,13 @@
 // inserts/removals without a full rebuild or cache flush; handles held by
 // in-flight readers stay valid and bit-identical throughout (see SptHandle).
 //
-// Concurrency: by default queries are LOCK-FREE against updates. Each query
-// pins the current generation -- a frozen CSR snapshot plus a scheme view
-// rebound to it (serve/generation.h) -- with one atomic fetch_add, while
-// apply_updates builds the next generation off to the side and installs it
-// with one pointer swap; the displaced generation is retired once its last
-// pin drains. The pre-RCU shared_mutex path is kept both as a measurable
-// baseline (ServerConfig::concurrency) and as the automatic fallback for
-// schemes that do not implement IRpts::snapshot_view. Protocol spec:
-// docs/CONCURRENCY.md.
+// Concurrency: queries are LOCK-FREE against updates. Each query pins the
+// current generation -- a frozen CSR snapshot plus a scheme view rebound to
+// it (IRpts::snapshot_view) -- with one atomic fetch_add, and every fetch
+// it makes reads that generation, never the live graph. apply_updates
+// builds the next generation off to the side and installs it with one
+// pointer swap; the displaced generation is retired once its last pin
+// drains. Protocol spec: docs/CONCURRENCY.md.
 //
 // Sharded serving (docs/ARCHITECTURE.md "Sharded serving"): N shards of
 // this class, each owning the roots a ShardRouter assigns to it, sit behind
@@ -55,8 +53,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -116,27 +112,10 @@ struct QueryOpts {
   bool require_exact = false;
 };
 
-// Query-path concurrency regime (ServerConfig::concurrency).
-enum class QueryConcurrency {
-  // RCU-style epoch-pinned reads (the default): queries pin an immutable
-  // generation with one fetch_add and never block; apply_updates publishes
-  // the next generation with one pointer swap and is the only party that
-  // ever waits (for the generation from two publishes ago to drain).
-  // Requires IRpts::snapshot_view; schemes without it silently fall back to
-  // kSharedLock.
-  kEpochPinned,
-  // The pre-RCU guard: queries take a shared_mutex shared, apply_updates
-  // exclusive -- every update is a global read stall. Kept as the
-  // measurable baseline (bench/serve_bench.cc `churn_rcu` scenario) and as
-  // the fallback regime.
-  kSharedLock,
-};
-
 struct ServerConfig {
   SptCache::Config cache;           // shards + budget + protected fraction
   bool enable_cache = true;         // false: recompute every fetch
   bool enable_coalescing = true;    // false: no single-flight (baseline)
-  QueryConcurrency concurrency = QueryConcurrency::kEpochPinned;
   size_t max_batch = 0;             // cap per-flush drain (0 = unbounded)
   // After an update, repair the invalidated trees eagerly as one engine
   // batch (incremental Ramalingam-Reps repair where the affected region is
@@ -192,7 +171,18 @@ struct UpdateResult {
   // prewarmed - repaired fell back to from-scratch recomputes.
   size_t prewarmed = 0;
   size_t repaired = 0;
+
+  // The record of `batch` before anything is absorbed: delta, epochs and
+  // `changed` filled from it, every counter zero.
+  static UpdateResult of(DeltaBatch batch);
 };
+
+// Rejects a query vertex outside the pinned generation's graph with
+// std::invalid_argument. Both front-ends (OracleShard, ShardAggregator) call
+// it before anything enrolls in the batcher: an out-of-range root would
+// write past the engine's per-vertex arrays, an out-of-range target read
+// past a fat tree's.
+void check_query_vertex(const GenerationManager::Pin& pin, Vertex v);
 
 // Composite server counters, taken through ONE MetricsRegistry::snapshot()
 // pass (see OracleShard::stats() for the consistency contract).
@@ -239,9 +229,15 @@ struct ServerStats {
 
 class OracleShard {
  public:
+  // Throws std::invalid_argument if `pi` cannot rebind to a snapshot
+  // (IRpts::snapshot_view returns null): every query reads a pinned
+  // generation, so a shard cannot serve such a scheme.
   explicit OracleShard(const IRpts& pi, ServerConfig config = {});
 
   const IRpts& scheme() const { return *pi_; }
+
+  // Every query below throws std::invalid_argument when a vertex (s, t or
+  // req.root) is not in the served graph.
 
   // The tree for `req` through the serving stack (shared with any
   // concurrent reader; see SptHandle for the ownership rules).
@@ -269,12 +265,11 @@ class OracleShard {
   // view; the caller owns mutability) -- and advances the serving stack to
   // the new epoch: unaffected cached trees carry forward zero-copy,
   // affected ones are invalidated and (per config) pre-warmed through the
-  // batch engine. Under the default epoch-pinned regime concurrent queries
-  // are NEVER blocked: they keep computing on the pinned old generation
-  // until the new one is published (build-publish-retire; see
-  // docs/CONCURRENCY.md). Under kSharedLock they stall behind the exclusive
-  // section. Either way, answers begun after this returns reflect the new
-  // topology, and handles held across it stay valid and bit-identical.
+  // batch engine. Concurrent queries are NEVER blocked: they keep computing
+  // on the pinned old generation until the new one is published
+  // (build-publish-retire; see docs/CONCURRENCY.md). Answers begun after
+  // this returns reflect the new topology, and handles held across it stay
+  // valid and bit-identical.
   // Thread-safe against any number of concurrent queriers; concurrent
   // updaters are serialized against each other.
   UpdateResult apply_update(Graph& graph, GraphDelta delta);
@@ -292,18 +287,16 @@ class OracleShard {
   // ---- Shard-facing surface (the ShardAggregator's three entry points;
   // ---- equally usable by any caller wanting multi-fetch epoch coherence).
 
-  // A pin on the current generation (empty when the shard runs the
-  // shared-lock fallback). Holding one delays generation retirement, never
-  // correctness; copies re-pin the same generation.
-  GenerationManager::Pin pin_generation() {
-    return gens_ ? gens_->pin() : GenerationManager::Pin{};
-  }
+  // A pin on the current generation. Holding one delays generation
+  // retirement, never correctness; copies re-pin the same generation.
+  GenerationManager::Pin pin_generation() { return gens_->pin(); }
 
   // A whole per-shard sub-batch as ONE serving-stack submission: every miss
   // is enrolled before the flush starts, so the batch rides the engine as
   // one spt_batch call (plus whatever concurrent callers piled on). All
-  // fetches read the pinned generation (an empty pin = the shared-lock
-  // path, taken internally). Counts requests.size() queries; each fetch is
+  // fetches read the pinned generation. Counts requests.size() queries;
+  // throws std::invalid_argument, enrolling nothing, if any root is not a
+  // vertex of the pinned generation's graph. Each fetch is
   // classified into the usual outcome classes, with the whole batch's wall
   // time attributed to every element's latency sample (the per-element cost
   // of an aggregated submission IS the batch, by design). `obs`, when
@@ -320,9 +313,7 @@ class OracleShard {
   // non-null the invalidated trees are handed back instead of repaired
   // inline, so the front-end can unblock the new epoch for the whole fleet
   // FIRST and run every shard's repair_deferred() after -- queries never
-  // wait on prewarming. Requires the epoch-pinned regime (throws
-  // std::logic_error otherwise: the shared-lock path cannot absorb an
-  // externally-applied mutation coherently).
+  // wait on prewarming.
   UpdateResult absorb_update(const DeltaBatch& batch,
                              const GraphSnapshot& snap,
                              std::vector<SptCache::Invalidated>* deferred);
@@ -379,12 +370,9 @@ class OracleShard {
   SptCache* cache() { return cache_ ? cache_.get() : nullptr; }
   const CoalescingBatcher* batcher() const { return batcher_.get(); }
 
-  // True when queries run the lock-free epoch-pinned path (the configured
-  // regime AND the scheme supports snapshot_view); false = shared-lock.
-  bool epoch_pinned() const { return gens_ != nullptr; }
-  // Null unless epoch_pinned(). Exposed non-const so callers needing several
-  // coherent fetches (and tests) can hold a Pin of their own; a held pin
-  // delays generation retirement, never correctness.
+  // Never null. Exposed non-const so callers needing several coherent
+  // fetches (and tests) can hold a Pin of their own; a held pin delays
+  // generation retirement, never correctness.
   GenerationManager* generations() { return gens_.get(); }
   const GenerationManager* generations() const { return gens_.get(); }
 
@@ -409,14 +397,13 @@ class OracleShard {
 
   QueryCtx begin_query(const char* kind);
   void end_query(QueryCtx& ctx);
-  // Classified fetch: routes to fetch_tree / fetch_tree_pinned (pin null =
-  // shared-lock path, caller holds update_mu_ shared), attributes the
-  // fetch's latency decomposition to its outcome class, and appends trace
+  // Classified fetch: fetch_tree on the pinned generation, attributing the
+  // fetch's latency decomposition to its outcome class and appending trace
   // spans when the query is sampled. `escalated` forces the kEscalated
   // class: the fetch serves a query that left the approximate tier, so its
   // cost belongs there whatever its hit/miss fate.
   SptHandle fetch_classified(const SsspRequest& req,
-                             const GenerationManager::Pin* pin, QueryCtx& ctx,
+                             const GenerationManager::Pin& pin, QueryCtx& ctx,
                              bool escalated = false);
   // The classify/book halves of fetch_classified, reusable by serve_batch
   // (which fetches through the batcher's batch path instead).
@@ -439,19 +426,15 @@ class OracleShard {
   bool stretch_probe_fires();
   void record_stretch(int32_t exact_hops, int32_t approx_hops);
 
-  // Tree fetch through the serving stack at the LIVE scheme's version;
-  // callers hold update_mu_ (shared). The shared-lock regime only.
-  SptHandle fetch_tree(const SsspRequest& req, FetchObs* obs);
-  // Epoch-pinned variant: every read -- version, CSR, Dijkstra -- goes
-  // through the pinned generation; the live graph is never touched.
-  SptHandle fetch_tree_pinned(const SsspRequest& req,
-                              const GenerationManager::Pin& pin,
-                              FetchObs* obs);
-  UpdateResult apply_updates_pinned(Graph& graph,
-                                    std::span<const GraphDelta> deltas);
-  // The shared absorb stage: caller holds mutator_mu_ and has filled
-  // res.batch/epochs/changed. Advances the cache, publishes the generation
-  // built from `snap`, then repairs inline or defers per `deferred`.
+  // Tree fetch through the serving stack: every read -- version, CSR,
+  // Dijkstra -- goes through the pinned generation; the live graph is never
+  // touched.
+  SptHandle fetch_tree(const SsspRequest& req,
+                       const GenerationManager::Pin& pin, FetchObs* obs);
+  // The absorb stage shared by apply_updates and absorb_update: caller holds
+  // mutator_mu_ and `res` is UpdateResult::of a changed batch. Advances the
+  // cache, publishes the generation built from `snap`, then repairs inline
+  // or defers per `deferred`.
   void absorb_locked(UpdateResult& res, GraphSnapshot snap,
                      std::vector<SptCache::Invalidated>* deferred);
   void repair_invalidated(const DeltaBatch& batch,
@@ -460,21 +443,18 @@ class OracleShard {
 
   const IRpts* pi_;
   ServerConfig config_;
-  // Epoch-pinned regime state. Declared before the cache and batcher so it
-  // is destroyed LAST: pending flights in the batcher hold generation pins,
-  // which must be released before the manager asserts quiescence.
-  std::unique_ptr<GenerationManager> gens_;  // null = shared-lock regime
-  // Serializes mutators (apply_updates) in the epoch-pinned regime: the
+  // Declared before the cache and batcher so it is destroyed LAST: pending
+  // flights in the batcher hold generation pins, which must be released
+  // before the manager asserts quiescence. Never null; a separate
+  // allocation so its pin word, written by every query, shares no cache
+  // line with this shard's read-mostly fields.
+  const std::unique_ptr<GenerationManager> gens_;
+  // Serializes mutators (apply_updates / absorb_update): the
   // build-publish-retire sequence and the repair batch read the LIVE graph,
   // which is safe exactly because no reader does and no second mutator runs.
   std::mutex mutator_mu_;
   std::unique_ptr<SptCache> cache_;             // only if enable_cache
   std::unique_ptr<CoalescingBatcher> batcher_;  // only if enable_coalescing
-  // Shared-lock regime guard: queries hold it shared, apply_update
-  // exclusive -- so a mutation never races an engine batch reading the CSR,
-  // and every query observes one coherent epoch. Unused (never contended)
-  // when epoch_pinned().
-  std::shared_mutex update_mu_;
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> updates_{0};
   std::atomic<uint64_t> stability_hits_{0};

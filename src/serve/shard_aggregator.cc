@@ -24,18 +24,11 @@ ShardAggregator::ShardAggregator(const IRpts& pi, FrontEndConfig config)
   }
   for (size_t i = 0; i < config_.num_shards; ++i) {
     ServerConfig sc = config_.shard;
-    // The fan-out protocol is absorb_update-based, which requires the
-    // epoch-pinned regime -- force it and verify below.
-    sc.concurrency = QueryConcurrency::kEpochPinned;
     sc.metrics = metrics_;
     sc.tracer = config_.tracer;
     sc.metrics_prefix = "shard" + std::to_string(i) + ".";
     if (!engines_.empty()) sc.engine = engines_[i].get();
     shards_.push_back(std::make_unique<OracleShard>(pi, std::move(sc)));
-    if (!shards_.back()->epoch_pinned())
-      throw std::invalid_argument(
-          "ShardAggregator: scheme has no snapshot_view; shards fell back "
-          "to the shared-lock regime, which cannot absorb fan-outs");
   }
   routed_epoch_.store(pi_->version().epoch, std::memory_order_release);
   register_providers();
@@ -61,10 +54,17 @@ void ShardAggregator::register_providers() {
       }));
 }
 
-GenerationManager::Pin ShardAggregator::pin_shard(size_t k) {
-  // Gate held ONLY for the pin grab: coherence, not compute.
-  std::shared_lock<std::shared_mutex> gate(fanout_mu_);
-  return shards_[k]->pin_generation();
+GenerationManager::Pin ShardAggregator::pin_shard(size_t k, Vertex s,
+                                                  Vertex t) {
+  GenerationManager::Pin pin;
+  {
+    // Gate held ONLY for the pin grab: coherence, not compute.
+    std::shared_lock<std::shared_mutex> gate(fanout_mu_);
+    pin = shards_[k]->pin_generation();
+  }
+  check_query_vertex(pin, s);
+  check_query_vertex(pin, t);
+  return pin;
 }
 
 std::vector<SptHandle> ShardAggregator::submit(
@@ -90,7 +90,7 @@ std::vector<SptHandle> ShardAggregator::submit(
 SptHandle ShardAggregator::tree(const SsspRequest& req) {
   queries_.fetch_add(1, std::memory_order_relaxed);
   const size_t k = router_.shard_of(pi_->scheme_id(), req.root);
-  return submit_one(k, req, pin_shard(k));
+  return submit_one(k, req, pin_shard(k, req.root, req.root));
 }
 
 std::vector<SptHandle> ShardAggregator::tree_batch(
@@ -106,6 +106,10 @@ std::vector<SptHandle> ShardAggregator::tree_batch(
     std::shared_lock<std::shared_mutex> gate(fanout_mu_);
     for (const size_t k : plan.touched) pins[k] = shards_[k]->pin_generation();
   }
+  // Reject the whole query before any shard sees a submission.
+  for (const size_t k : plan.touched)
+    for (const SsspRequest& req : plan.by_shard[k])
+      check_query_vertex(pins[k], req.root);
   // Exactly one submission per touched shard: a k-root query costs
   // |touched| <= min(k, shards) serve_batch calls.
   std::vector<SptHandle> out(requests.size());
@@ -123,13 +127,14 @@ int32_t ShardAggregator::distance(Vertex s, Vertex t,
   const size_t k = router_.shard_of(pi_->scheme_id(), s);
   // The front-end serves the exact tier; the approximate tier stays a
   // per-shard concern (ServerConfig::default_epsilon on direct shard use).
-  return submit_one(k, {s, faults, Direction::kOut}, pin_shard(k))->hops(t);
+  return submit_one(k, {s, faults, Direction::kOut}, pin_shard(k, s, t))
+      ->hops(t);
 }
 
 Path ShardAggregator::path(Vertex s, Vertex t, const FaultSet& faults) {
   queries_.fetch_add(1, std::memory_order_relaxed);
   const size_t k = router_.shard_of(pi_->scheme_id(), s);
-  return submit_one(k, {s, faults, Direction::kOut}, pin_shard(k))
+  return submit_one(k, {s, faults, Direction::kOut}, pin_shard(k, s, t))
       ->path_to(t);
 }
 
@@ -138,19 +143,12 @@ int32_t ShardAggregator::replacement_distance(Vertex s, Vertex t, EdgeId e) {
   // Both fetches share one root, hence one shard and one pin: the base and
   // fault tree of a single query always read the same epoch.
   const size_t k = router_.shard_of(pi_->scheme_id(), s);
-  const GenerationManager::Pin pin = pin_shard(k);
+  const GenerationManager::Pin pin = pin_shard(k, s, t);
   const SptHandle base = submit_one(k, {s, {}, Direction::kOut}, pin);
   if (!base->reachable(t)) return kUnreachable;
   // Stability fast path, as in OracleShard::replacement_distance: a fault
   // off the selected path leaves the distance unchanged.
-  bool on_path = false;
-  for (Vertex x = t; x != s; x = base->parent(x)) {
-    if (base->parent_edge(x) == e) {
-      on_path = true;
-      break;
-    }
-  }
-  if (!on_path) return base->hops(t);
+  if (!base->path_uses_edge(t, e)) return base->hops(t);
   return submit_one(k, {s, FaultSet{e}, Direction::kOut}, pin)->hops(t);
 }
 
@@ -176,11 +174,7 @@ UpdateResult ShardAggregator::apply_updates(
     // the fleet is mid-fan-out, so multi-shard queries see all-old or
     // all-new -- never a mix.
     std::unique_lock<std::shared_mutex> gate(fanout_mu_);
-    res.batch = graph.apply(deltas);
-    if (!res.batch.deltas.empty()) res.delta = res.batch.deltas.front();
-    res.old_epoch = res.batch.old_epoch;
-    res.new_epoch = res.batch.new_epoch;
-    res.changed = res.batch.changed();
+    res = UpdateResult::of(graph.apply(deltas));
     if (!res.changed) return res;
     const GraphSnapshot snap = graph.snapshot();
     for (size_t i = 0; i < shards_.size(); ++i)

@@ -62,9 +62,6 @@ struct FrontEndConfig {
   // a global budget by num_shards if that is the intent);
   // metrics_prefix/metrics/tracer are overwritten per shard so the whole
   // fleet reports into one registry ("shard0.server", "shard1.cache", ...).
-  // concurrency must allow the epoch-pinned regime: the fan-out protocol
-  // requires absorb_update, so the constructor throws if any shard comes up
-  // on the shared-lock fallback.
   ServerConfig shard;
   // Registry for the whole fleet + the front-end's own `frontend`
   // component. nullptr = the aggregator owns a private one.
@@ -88,6 +85,8 @@ struct FrontEndStats {
 
 class ShardAggregator {
  public:
+  // Throws std::invalid_argument if `pi` has no snapshot_view (see
+  // OracleShard's constructor).
   explicit ShardAggregator(const IRpts& pi, FrontEndConfig config = {});
   ~ShardAggregator();
 
@@ -103,7 +102,8 @@ class ShardAggregator {
     return routed_epoch_.load(std::memory_order_acquire);
   }
 
-  // ---- Query surface (routed; same semantics as OracleShard's). ----------
+  // ---- Query surface (routed; same semantics as OracleShard's, including
+  // ---- std::invalid_argument for a vertex outside the served graph). -----
 
   SptHandle tree(const SsspRequest& req);
   // Multi-root batch: decomposed per shard, merged in request order.
@@ -124,8 +124,9 @@ class ShardAggregator {
   obs::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
-  // Pin shard k's current generation under the fan-out gate.
-  GenerationManager::Pin pin_shard(size_t k);
+  // Pin shard k's current generation under the fan-out gate, then reject
+  // query vertices s and t outside it (check_query_vertex).
+  GenerationManager::Pin pin_shard(size_t k, Vertex s, Vertex t);
   // ONE serve_batch of `requests` on shard k, booking each sub-query as a
   // remote_hit or aggregated. The pin must have been taken under the
   // fan-out gate.

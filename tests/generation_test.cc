@@ -2,19 +2,21 @@
 // GenerationManager pin/publish/retire accounting, the max-two-generations
 // reader-starvation bound (a pin held across two successive apply_updates
 // keeps the old generation alive and blocks the SECOND publish, never a
-// reader), bit-identical answers through pinned snapshots, the shared-lock
-// fallback for schemes without snapshot_view, and a 1/2/8-thread hammer.
+// reader), bit-identical answers through pinned snapshots, the rejection of
+// schemes without a snapshot view, and a 1/2/8-thread hammer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "graph/generators.h"
 #include "serve/generation.h"
 #include "serve/oracle_server.h"
+#include "serve/shard_aggregator.h"
 #include "util/random.h"
 
 namespace restorable {
@@ -133,7 +135,6 @@ TEST(OracleServerEpochPinned, PinHeldAcrossTwoUpdates) {
   Graph g = gnp_connected(48, 0.12, 11);
   const IsolationRpts pi(g, IsolationAtw(6));
   OracleServer server(pi);
-  ASSERT_TRUE(server.epoch_pinned());
 
   // Warm a handle, then pin the current generation.
   const SptHandle h0 = server.tree({0, {}, Direction::kOut});
@@ -187,9 +188,10 @@ TEST(OracleServerEpochPinned, PinHeldAcrossTwoUpdates) {
   EXPECT_GE(gs.publish_waits, 1u);
 }
 
-// Schemes that cannot rebind to a snapshot (no snapshot_view override) must
-// fall back to the shared-lock path and stay fully correct.
-TEST(OracleServerEpochPinned, FallsBackWithoutSnapshotView) {
+// Every query reads a pinned generation, so a scheme that cannot rebind to
+// a snapshot (snapshot_view returns null) cannot be served at all: both
+// front-ends reject it at construction instead of running without a pin.
+TEST(OracleServerEpochPinned, RejectsSchemeWithoutSnapshotView) {
   class NoViewRpts final : public IRpts {
    public:
     explicit NoViewRpts(const Graph& g, uint64_t seed)
@@ -200,6 +202,9 @@ TEST(OracleServerEpochPinned, FallsBackWithoutSnapshotView) {
             Direction dir = Direction::kOut) const override {
       return inner_.spt(root, faults, dir);
     }
+    std::unique_ptr<IRpts> snapshot_view(const Graph&) const override {
+      return nullptr;
+    }
 
    private:
     IsolationRpts inner_;
@@ -207,31 +212,10 @@ TEST(OracleServerEpochPinned, FallsBackWithoutSnapshotView) {
 
   Graph g = gnp_connected(32, 0.15, 13);
   const NoViewRpts pi(g, 7);
-  OracleServer server(pi);
-  EXPECT_FALSE(server.epoch_pinned());
-  EXPECT_EQ(server.generations(), nullptr);
-
-  const IsolationRpts ref(g, IsolationAtw(7));
-  EXPECT_EQ(server.distance(0, 9), ref.distance(0, 9));
-  EdgeId victim = kNoEdge;
-  for (EdgeId e = 0; e < g.num_edges(); ++e)
-    if (g.edge_present(e)) { victim = e; break; }
-  const auto res = server.apply_update(g, GraphDelta::remove(victim));
-  ASSERT_TRUE(res.changed);
-  const IsolationRpts rebuilt(g, IsolationAtw(7));
-  for (Vertex s = 0; s < g.num_vertices(); s += 5)
-    expect_same_tree(*server.tree({s, {}, Direction::kOut}), rebuilt.spt(s));
-}
-
-// And the explicit opt-out keeps working as the measurable baseline.
-TEST(OracleServerEpochPinned, SharedLockConfigOptOut) {
-  Graph g = gnp_connected(32, 0.15, 14);
-  const IsolationRpts pi(g, IsolationAtw(9));
-  ServerConfig cfg;
-  cfg.concurrency = QueryConcurrency::kSharedLock;
-  OracleServer server(pi, cfg);
-  EXPECT_FALSE(server.epoch_pinned());
-  EXPECT_EQ(server.distance(1, 5), pi.distance(1, 5));
+  EXPECT_THROW((OracleServer(pi)), std::invalid_argument);
+  FrontEndConfig fc;
+  fc.num_shards = 2;
+  EXPECT_THROW((ShardAggregator(pi, fc)), std::invalid_argument);
 }
 
 // Hammer variant of the retirement test: readers pin, hold the pin across
@@ -244,8 +228,7 @@ TEST(OracleServerEpochPinned, HammerPinsAcrossPublishes) {
     Graph g = gnp_connected(64, 0.10, 100 + readers);
     const IsolationRpts pi(g, IsolationAtw(17));
     OracleServer server(pi);
-    ASSERT_TRUE(server.epoch_pinned());
-
+  
     std::atomic<bool> stop{false};
     std::atomic<size_t> verified{0};
     std::vector<std::thread> workers;

@@ -34,6 +34,11 @@ TEST(Checkers, ShortestPathsCatchesBadScheme) {
                 EdgeId{0});
       return t;
     }
+    std::unique_ptr<IRpts> snapshot_view(const Graph& frozen) const override {
+      auto view = std::make_unique<Lying>(frozen);
+      view->adopt_identity(*this);
+      return view;
+    }
    private:
     const Graph* g_;
   };

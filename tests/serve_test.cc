@@ -19,6 +19,8 @@
 #include "rp/subset_rp.h"
 #include "rp/two_fault_oracle.h"
 #include "serve/coalescing_batcher.h"
+#include "serve/generation.h"
+#include "serve/shard_aggregator.h"
 #include "serve/spt_cache.h"
 
 namespace restorable {
@@ -33,6 +35,16 @@ void expect_same_tree(const Spt& got, const Spt& want) {
     EXPECT_EQ(got.parent(v), want.parent(v)) << "v=" << v;
     EXPECT_EQ(got.parent_edge(v), want.parent_edge(v)) << "v=" << v;
   }
+}
+
+// `pi` over a snapshot of its current topology: the generation a
+// CoalescingBatcher fetch is pinned to.
+std::unique_ptr<const Generation> make_generation(const IRpts& pi) {
+  auto gen = std::make_unique<Generation>();
+  gen->graph = pi.graph().snapshot();
+  gen->scheme = pi.snapshot_view(*gen->graph);
+  EXPECT_NE(gen->scheme, nullptr);
+  return gen;
 }
 
 TEST(SptCache, LookupInsertAndLruRefresh) {
@@ -341,11 +353,13 @@ TEST(CoalescingBatcher, SingleFlightUnderConcurrentMixedLoad) {
   const IsolationRpts pi(g, IsolationAtw(32));
   SptCache cache;
   const BatchSsspEngine engine(2);
-  CoalescingBatcher batcher(pi, &cache, &engine);
+  GenerationManager gens(make_generation(pi));
+  const GenerationManager::Pin pin = gens.pin();
+  CoalescingBatcher batcher(&cache, &engine);
 
   // Preheat a few keys so the hammer mixes hits and misses.
   const std::vector<Vertex> hot{0, 7, 14};
-  for (Vertex root : hot) batcher.get({root, {}, Direction::kOut});
+  for (Vertex root : hot) batcher.get({root, {}, Direction::kOut}, pin);
 
   constexpr int kThreads = 8;
   constexpr int kRounds = 40;
@@ -361,7 +375,7 @@ TEST(CoalescingBatcher, SingleFlightUnderConcurrentMixedLoad) {
                                   : static_cast<Vertex>(20 + r % 17);
         FaultSet faults;
         if (r % 4 == 3) faults.insert(static_cast<EdgeId>(r % 11));
-        const auto tree = batcher.get({root, faults, Direction::kOut});
+        const auto tree = batcher.get({root, faults, Direction::kOut}, pin);
         const Spt want = pi.spt(root, faults);
         bool same = tree->num_vertices() == want.num_vertices();
         for (Vertex v = 0; same && v < want.num_vertices(); ++v)
@@ -410,6 +424,11 @@ class ThrowingRpts final : public IRpts {
     if (root == poisoned_) throw std::runtime_error("poisoned root");
     return ArbitraryRpts(*g_).spt(root, faults, dir);
   }
+  std::unique_ptr<IRpts> snapshot_view(const Graph& frozen) const override {
+    auto view = std::make_unique<ThrowingRpts>(frozen, poisoned_);
+    view->adopt_identity(*this);
+    return view;
+  }
 
  private:
   const Graph* g_;
@@ -424,27 +443,31 @@ TEST(CoalescingBatcher, ComputeExceptionPropagatesAndBatcherSurvives) {
   // the throw unwinds through the flush loop (a worker-thread throw would
   // terminate by ThreadPool contract).
   const BatchSsspEngine engine(1);
-  CoalescingBatcher batcher(pi, &cache, &engine);
+  GenerationManager gens(make_generation(pi));
+  const GenerationManager::Pin pin = gens.pin();
+  CoalescingBatcher batcher(&cache, &engine);
 
-  EXPECT_THROW(batcher.get({3, {}, Direction::kOut}), std::runtime_error);
+  EXPECT_THROW(batcher.get({3, {}, Direction::kOut}, pin), std::runtime_error);
   // The batcher must not be wedged: a healthy key still computes.
-  const auto tree = batcher.get({5, {}, Direction::kOut});
+  const auto tree = batcher.get({5, {}, Direction::kOut}, pin);
   ASSERT_NE(tree, nullptr);
   expect_same_tree(*tree, pi.spt(5));
   // And the poisoned key still throws (nothing bogus was cached).
-  EXPECT_THROW(batcher.get({3, {}, Direction::kOut}), std::runtime_error);
+  EXPECT_THROW(batcher.get({3, {}, Direction::kOut}, pin), std::runtime_error);
 }
 
 TEST(CoalescingBatcher, GetBatchRidesOneFlush) {
   const Graph g = gnp_connected(40, 0.1, 41);
   const IsolationRpts pi(g, IsolationAtw(42));
   SptCache cache;
-  CoalescingBatcher batcher(pi, &cache);
+  GenerationManager gens(make_generation(pi));
+  const GenerationManager::Pin pin = gens.pin();
+  CoalescingBatcher batcher(&cache);
 
   std::vector<SsspRequest> reqs;
   for (Vertex root : {1u, 5u, 9u, 5u, 1u})  // in-batch duplicates
     reqs.push_back({root, {}, Direction::kOut});
-  const auto trees = batcher.get_batch(reqs);
+  const auto trees = batcher.get_batch(reqs, pin);
   ASSERT_EQ(trees.size(), reqs.size());
   for (size_t i = 0; i < reqs.size(); ++i)
     expect_same_tree(*trees[i], pi.spt(reqs[i].root));
@@ -460,12 +483,14 @@ TEST(CoalescingBatcher, MaxBatchDrainsBoundedInstallments) {
   const Graph g = gnp_connected(40, 0.1, 43);
   const IsolationRpts pi(g, IsolationAtw(44));
   SptCache cache;
-  CoalescingBatcher batcher(pi, &cache, nullptr, /*max_batch=*/2);
+  GenerationManager gens(make_generation(pi));
+  const GenerationManager::Pin pin = gens.pin();
+  CoalescingBatcher batcher(&cache, nullptr, /*max_batch=*/2);
 
   std::vector<SsspRequest> reqs;
   for (Vertex root : {1u, 5u, 9u, 13u, 17u})
     reqs.push_back({root, {}, Direction::kOut});
-  const auto trees = batcher.get_batch(reqs);
+  const auto trees = batcher.get_batch(reqs, pin);
   ASSERT_EQ(trees.size(), reqs.size());
   for (size_t i = 0; i < reqs.size(); ++i)
     expect_same_tree(*trees[i], pi.spt(reqs[i].root));
@@ -567,6 +592,73 @@ TEST(OracleServer, ConcurrentMixedQueriesAreConsistent) {
   for (auto& t : workers) t.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(server.cache()->stats().hit_rate(), 0.5);
+}
+
+// Out-of-range vertex ids are rejected by every query entry point of both
+// front-ends before anything enrolls in a batcher (an out-of-range root used
+// to write past the engine's arrays, an out-of-range target read past a fat
+// tree's). Afterwards valid queries -- misses included -- still answer, so
+// no flight was left stuck. Fat and compact trees alike.
+TEST(OracleServer, RejectsOutOfRangeVerticesAtEveryEntryPoint) {
+  const Graph g = gnp_connected(30, 0.15, 91);
+  const IsolationRpts pi(g, IsolationAtw(92));
+  const Vertex n = g.num_vertices();
+  const EdgeId e = 0;
+  for (const bool compact : {false, true}) {
+    SCOPED_TRACE(compact ? "compact" : "fat");
+    ServerConfig cfg;
+    cfg.cache.compact_trees = compact;
+    OracleServer server(pi, cfg);
+    FrontEndConfig fc;
+    fc.num_shards = 2;
+    fc.shard = cfg;
+    ShardAggregator agg(pi, fc);
+    for (const Vertex bad : {n, n + 5}) {
+      SCOPED_TRACE("bad=" + std::to_string(bad));
+      const SsspRequest req{bad, {}, Direction::kOut};
+      const std::vector<SsspRequest> batch{{1, {}, Direction::kOut}, req};
+      EXPECT_THROW(server.tree(req), std::invalid_argument);
+      EXPECT_THROW(server.distance(bad, 1), std::invalid_argument);
+      EXPECT_THROW(server.distance(1, bad), std::invalid_argument);
+      EXPECT_THROW(server.path(bad, 1), std::invalid_argument);
+      EXPECT_THROW(server.path(1, bad), std::invalid_argument);
+      EXPECT_THROW(server.replacement_distance(bad, 1, e),
+                   std::invalid_argument);
+      EXPECT_THROW(server.replacement_distance(1, bad, e),
+                   std::invalid_argument);
+      EXPECT_THROW(server.serve_batch(batch, server.pin_generation()),
+                   std::invalid_argument);
+      EXPECT_THROW(agg.tree(req), std::invalid_argument);
+      EXPECT_THROW(agg.tree_batch(batch), std::invalid_argument);
+      EXPECT_THROW(agg.distance(bad, 1), std::invalid_argument);
+      EXPECT_THROW(agg.distance(1, bad), std::invalid_argument);
+      EXPECT_THROW(agg.path(bad, 1), std::invalid_argument);
+      EXPECT_THROW(agg.path(1, bad), std::invalid_argument);
+      EXPECT_THROW(agg.replacement_distance(bad, 1, e),
+                   std::invalid_argument);
+      EXPECT_THROW(agg.replacement_distance(1, bad, e),
+                   std::invalid_argument);
+    }
+    // Rejected before enrolling: nothing was counted or submitted.
+    EXPECT_EQ(server.queries_served(), 0u);
+    EXPECT_EQ(server.batcher()->stats().requests, 0u);
+    EXPECT_EQ(agg.stats().submissions, 0u);
+
+    EXPECT_EQ(server.distance(1, 7), pi.distance(1, 7));
+    EXPECT_EQ(server.path(1, n - 1), pi.path(1, n - 1));
+    EXPECT_EQ(server.replacement_distance(2, 9, e),
+              pi.distance(2, 9, FaultSet{e}));
+    const std::vector<SsspRequest> good{{1, {}, Direction::kOut},
+                                        {n - 1, {}, Direction::kOut}};
+    const auto trees = server.serve_batch(good, server.pin_generation());
+    expect_same_tree(*trees[1], pi.spt(n - 1));
+    EXPECT_EQ(agg.distance(1, 7), pi.distance(1, 7));
+    EXPECT_EQ(agg.path(3, n - 1), pi.path(3, n - 1));
+    EXPECT_EQ(agg.replacement_distance(2, 9, e),
+              pi.distance(2, 9, FaultSet{e}));
+    const auto agg_trees = agg.tree_batch(good);
+    expect_same_tree(*agg_trees[1], pi.spt(n - 1));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -675,6 +767,11 @@ TEST(CoalescingBatcher, NullTreeFailsOnlyThatFlight) {
         if (requests[i].root == 13) out[i] = nullptr;  // the lossy slot
       return out;
     }
+    std::unique_ptr<IRpts> snapshot_view(const Graph& frozen) const override {
+      auto view = std::make_unique<NullSlotRpts>(frozen);
+      view->adopt_identity(*this);
+      return view;
+    }
 
    private:
     const Graph* g_;
@@ -684,21 +781,23 @@ TEST(CoalescingBatcher, NullTreeFailsOnlyThatFlight) {
   const NullSlotRpts pi(g);
   SptCache cache;
   const BatchSsspEngine engine(2);
-  CoalescingBatcher batcher(pi, &cache, &engine);
+  GenerationManager gens(make_generation(pi));
+  const GenerationManager::Pin pin = gens.pin();
+  CoalescingBatcher batcher(&cache, &engine);
 
   // The poisoned key throws a real exception instead of crashing...
-  EXPECT_THROW(batcher.get({13, {}, Direction::kOut}), std::runtime_error);
+  EXPECT_THROW(batcher.get({13, {}, Direction::kOut}, pin), std::runtime_error);
   // ...and only that flight: healthy keys keep being served afterwards, so
   // the leader survived and flushing_ was not left stuck.
-  const auto good = batcher.get({5, {}, Direction::kOut});
+  const auto good = batcher.get({5, {}, Direction::kOut}, pin);
   ASSERT_NE(good, nullptr);
   expect_same_tree(*good, pi.spt(5));
   // A batch mixing the poisoned key with healthy ones fails only the
   // poisoned flight's waiters.
   std::vector<SsspRequest> mixed{{4, {}, Direction::kOut},
                                  {13, {}, Direction::kOut}};
-  EXPECT_THROW(batcher.get_batch(mixed), std::runtime_error);
-  EXPECT_NE(batcher.get({4, {}, Direction::kOut}), nullptr);
+  EXPECT_THROW(batcher.get_batch(mixed, pin), std::runtime_error);
+  EXPECT_NE(batcher.get({4, {}, Direction::kOut}, pin), nullptr);
 }
 
 // Regression: peek (the batcher's locked double-check probe) used to splice
