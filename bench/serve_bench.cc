@@ -1477,17 +1477,18 @@ void bench_epsilon(Table& eps_table, JsonRows& json, const Options& opt,
 // graph acquisition, pack_ms to freeze, load_ms to map; mmap records whether
 // the zero-parse path was live). Queries draw hot roots from a skewed
 // (min-of-four uniforms) distribution over a root set sized ~2x what the
-// fat-tree budget holds, so the cache budget -- not compute -- is the
-// binding constraint, exactly the regime compact trees exist for. Three
-// modes per thread count: fat trees on the in-memory graph, compact trees
-// on the in-memory graph, compact trees on the mmap-thawed graph. The
-// deterministic query stream makes the sampled answers comparable
-// element-wise across modes; after the query window a short flap phase
-// (remove a hot parent edge, heal it) exercises repair-vs-recompute at
-// scale. CI asserts compact bytes_per_tree <= 0.6x fat, strictly more
-// trees resident at the fixed budget, and sample streams bit-identical
-// across all three modes. Thread accounting: --threads T is the total
-// footprint, split by split_threads into drivers + engine workers.
+// budget would hold in fat form, so the cache budget -- not compute -- is
+// the binding constraint, exactly the regime compact trees exist for. Two
+// modes per thread count, both serving the published (compact) form:
+// `compact` on the in-memory graph, `compact_mmap` on the mmap-thawed
+// graph. Every sampled answer is checked against one from-scratch reference
+// tree per hot root; after the query window a short flap phase (remove a
+// hot parent edge, heal it) exercises repair-vs-recompute at scale. CI
+// asserts bytes_per_tree <= 0.6x fat_bytes_per_tree (the fat probe), more
+// than hot_roots / 2 trees resident at the fixed budget (the budget holds
+// exactly that many fat trees), and samples_match == samples. Thread
+// accounting: --threads T is the total footprint, split by split_threads
+// into drivers + engine workers.
 void bench_large(Table& large_table, JsonRows& json, const Options& opt,
                  const ObsSinks& sinks) {
   // --- Acquire the subject graph (gen_ms = driver-side acquisition cost).
@@ -1545,8 +1546,9 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
   for (size_t i = 0; i < hot; ++i)
     hot_roots.push_back(static_cast<Vertex>(
         (static_cast<uint64_t>(i) * mem.num_vertices()) / hot));
-  // Budget: half the hot set's fat trees. Fat mode must evict; compact mode
-  // (~6 vs 12 bytes/vertex) holds roughly the whole set.
+  // Budget: half the hot set's FAT trees, so the published compact form
+  // (~6 vs 12 bytes/vertex) holds roughly the whole set where fat trees
+  // would thrash. probe_bytes is also every row's fat_bytes_per_tree.
   const size_t probe_bytes = ref.spt(hot_roots[0]).memory_bytes();
   const size_t budget = (hot / 2) * (probe_bytes + 256);
   // Query volume scaled so miss-driven recomputes stay bounded as n grows
@@ -1557,12 +1559,17 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
   const size_t large_flaps = 2;
 
   struct LargeRun {
+    int threads = 0;
+    ThreadSplit ts{};
+    const char* mode = "";
     Measurement m;
     std::vector<std::pair<Query, int32_t>> samples;  // deterministic order
+    uint64_t samples_match = 0;  // filled by the audit below
     SptCache::Stats cstats;
     ServerStats sstats;
     double apply_ms = 0;
   };
+  std::vector<LargeRun> runs;
 
   for (int threads : {1, 2, 8}) {
     // --threads is the TOTAL footprint: drivers + engine workers (see
@@ -1570,20 +1577,20 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
     // driver_threads / engine_threads record the split that actually ran.
     const ThreadSplit ts = split_threads(threads);
     const BatchSsspEngine engine(ts.engine);
-    auto run_mode = [&](const Graph& base, bool compact_trees,
-                        const char* mode) {
+    auto run_mode = [&](const Graph& base, const char* mode) {
       LargeRun r;
+      r.threads = threads;
+      r.ts = ts;
+      r.mode = mode;
       Graph g = base;  // private copy: the flap phase mutates it
       const IsolationRpts pi(g, IsolationAtw(7));
       ServerConfig cfg;
       cfg.cache.shards = 1;  // exact LRU counts: entries compare across modes
       cfg.cache.byte_budget = budget;
-      cfg.cache.compact_trees = compact_trees;
       cfg.max_batch = opt.max_batch;
       cfg.engine = &engine;
       cfg.tracer = sinks.tracer;
       OracleServer server(pi, cfg);
-
       const size_t per_thread =
           std::max<size_t>(1, lq / static_cast<size_t>(ts.drivers));
       std::vector<std::vector<double>> lat(ts.drivers);
@@ -1652,86 +1659,82 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
       return r;
     };
 
-    const LargeRun fat = run_mode(mem, false, "fat");
-    const LargeRun compact = run_mode(mem, true, "compact");
-    const LargeRun compact_mmap = run_mode(mapped, true, "compact_mmap");
+    runs.push_back(run_mode(mem, "compact"));
+    runs.push_back(run_mode(mapped, "compact_mmap"));
+  }
 
-    // Answer audits, outside every timing window: (a) the three modes'
-    // deterministic sample streams must agree element-wise (compact vs fat,
-    // mmap vs in-memory); (b) a subset is verified against the scheme
-    // computed from scratch.
-    auto matches = [&](const LargeRun& a, const LargeRun& b) {
-      if (a.samples.size() != b.samples.size()) return uint64_t{0};
-      uint64_t same = 0;
-      for (size_t i = 0; i < a.samples.size(); ++i)
-        if (a.samples[i].second == b.samples[i].second) ++same;
-      return same;
-    };
-    const uint64_t compact_match = matches(compact, fat);
-    const uint64_t mmap_match = matches(compact_mmap, compact);
-
-    struct ModeRow {
-      const char* mode;
-      const LargeRun* r;
-      uint64_t match;
-    };
-    const ModeRow rows[] = {{"fat", &fat, fat.samples.size()},
-                            {"compact", &compact, compact_match},
-                            {"compact_mmap", &compact_mmap, mmap_match}};
-    for (const auto& row : rows) {
-      const LargeRun& r = *row.r;
-      size_t checked = 0, correct = 0;
-      for (size_t i = 0; i < r.samples.size(); i += 8) {
-        ++checked;
-        if (r.samples[i].second == reference_answer(ref, r.samples[i].first))
-          ++correct;
+  // Answer audit, outside every timing window: every sampled answer of
+  // every run is compared against one from-scratch reference tree per hot
+  // root (built once, dropped before the next, so the audit holds a single
+  // tree even at n = 10^6) -- compaction and the mmap round-trip change
+  // bytes, never answers.
+  for (Vertex root : hot_roots) {
+    const Spt want = ref.spt(root);
+    for (LargeRun& r : runs)
+      for (const auto& [q, got] : r.samples) {
+        if (q.s != root) continue;
+        const int32_t expect =
+            q.kind == Query::kPath
+                ? static_cast<int32_t>(want.path_to(q.t).length())
+                : want.hops(q.t);
+        if (got == expect) ++r.samples_match;
       }
-      const double bytes_per_tree =
-          static_cast<double>(r.cstats.bytes) /
-          static_cast<double>(std::max<size_t>(1, r.cstats.entries));
-      large_table.add_row(family, mem.num_vertices(), threads, row.mode,
-                          r.m.qps, r.cstats.hit_rate(),
-                          static_cast<uint64_t>(r.cstats.entries),
-                          bytes_per_tree, load_ms, mmapped ? "yes" : "no");
-      json.row()
-          .field("bench", "serve_large")
-          .field("family", family)
-          .field("n", static_cast<uint64_t>(mem.num_vertices()))
-          .field("m", static_cast<uint64_t>(mem.num_edges()))
-          .field("threads", threads)
-          .field("driver_threads", ts.drivers)
-          .field("engine_threads", ts.engine)
-          .field("mode", row.mode)
-          .field("metrics", metrics_build())
-          .field("seed", opt.seed)
-          .field("queries", static_cast<uint64_t>(lq))
-          .field("hot_roots", static_cast<uint64_t>(hot))
-          .field("budget_bytes", static_cast<uint64_t>(budget))
-          .field("gen_ms", gen_ms)
-          .field("pack_ms", pack_ms)
-          .field("load_ms", load_ms)
-          .field("file_bytes", file_bytes)
-          .field("mmap", static_cast<uint64_t>(mmapped ? 1 : 0))
-          .field("qps", r.m.qps)
-          .field("p50_us", r.m.p50_us)
-          .field("p99_us", r.m.p99_us)
-          .field("hit_rate", r.cstats.hit_rate())
-          .field("trees_resident", static_cast<uint64_t>(r.cstats.entries))
-          .field("cache_bytes", static_cast<uint64_t>(r.cstats.bytes))
-          .field("bytes_per_tree", bytes_per_tree)
-          .field("evictions", r.cstats.evictions)
-          .field("flaps", static_cast<uint64_t>(large_flaps))
-          .field("apply_ms", r.apply_ms)
-          .field("repair_ms", static_cast<double>(r.sstats.repair_ns) / 1e6)
-          .field("repaired", r.sstats.repaired)
-          .field("recomputed", r.sstats.recomputed)
-          .field("samples", static_cast<uint64_t>(r.samples.size()))
-          .field("samples_match", row.match)
-          .field("checked", static_cast<uint64_t>(checked))
-          .field("correct", static_cast<uint64_t>(correct))
-          .field("hw_threads",
-                 static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  }
+
+  for (const LargeRun& r : runs) {
+    // Independent spot check through the scheme's own query API.
+    size_t checked = 0, correct = 0;
+    for (size_t i = 0; i < r.samples.size(); i += 8) {
+      ++checked;
+      if (r.samples[i].second == reference_answer(ref, r.samples[i].first))
+        ++correct;
     }
+    const double bytes_per_tree =
+        static_cast<double>(r.cstats.bytes) /
+        static_cast<double>(std::max<size_t>(1, r.cstats.entries));
+    large_table.add_row(family, mem.num_vertices(), r.threads, r.mode, r.m.qps,
+                        r.cstats.hit_rate(),
+                        static_cast<uint64_t>(r.cstats.entries), bytes_per_tree,
+                        load_ms, mmapped ? "yes" : "no");
+    json.row()
+        .field("bench", "serve_large")
+        .field("family", family)
+        .field("n", static_cast<uint64_t>(mem.num_vertices()))
+        .field("m", static_cast<uint64_t>(mem.num_edges()))
+        .field("threads", r.threads)
+        .field("driver_threads", r.ts.drivers)
+        .field("engine_threads", r.ts.engine)
+        .field("mode", r.mode)
+        .field("metrics", metrics_build())
+        .field("seed", opt.seed)
+        .field("queries", static_cast<uint64_t>(lq))
+        .field("hot_roots", static_cast<uint64_t>(hot))
+        .field("budget_bytes", static_cast<uint64_t>(budget))
+        .field("gen_ms", gen_ms)
+        .field("pack_ms", pack_ms)
+        .field("load_ms", load_ms)
+        .field("file_bytes", file_bytes)
+        .field("mmap", static_cast<uint64_t>(mmapped ? 1 : 0))
+        .field("qps", r.m.qps)
+        .field("p50_us", r.m.p50_us)
+        .field("p99_us", r.m.p99_us)
+        .field("hit_rate", r.cstats.hit_rate())
+        .field("trees_resident", static_cast<uint64_t>(r.cstats.entries))
+        .field("cache_bytes", static_cast<uint64_t>(r.cstats.bytes))
+        .field("bytes_per_tree", bytes_per_tree)
+        .field("fat_bytes_per_tree", static_cast<uint64_t>(probe_bytes))
+        .field("evictions", r.cstats.evictions)
+        .field("flaps", static_cast<uint64_t>(large_flaps))
+        .field("apply_ms", r.apply_ms)
+        .field("repair_ms", static_cast<double>(r.sstats.repair_ns) / 1e6)
+        .field("repaired", r.sstats.repaired)
+        .field("recomputed", r.sstats.recomputed)
+        .field("samples", static_cast<uint64_t>(r.samples.size()))
+        .field("samples_match", r.samples_match)
+        .field("checked", static_cast<uint64_t>(checked))
+        .field("correct", static_cast<uint64_t>(correct))
+        .field("hw_threads",
+               static_cast<uint64_t>(std::thread::hardware_concurrency()));
   }
 }
 
@@ -2133,11 +2136,11 @@ int run(const Options& opt) {
                "topology:\n";
   sharded_table.print();
   std::cout << "\nLarge-graph scenario: skewed hot-root traffic against a "
-               "budget sized to half the hot set's FAT trees;\nmode fat = "
-               "12 B/vertex publication, compact = 6 B/vertex "
-               "(SptCache::Config::compact_trees), compact_mmap = the\nsame "
-               "served from the frozen-CSR restart path (pack_ms/load_ms in "
-               "the JSON rows). Same budget, twice the trees:\n";
+               "budget sized to half the hot set's FAT trees;\nmode compact "
+               "= the published 6 B/vertex trees (fat would be 12), "
+               "compact_mmap = the same\nserved from the frozen-CSR restart "
+               "path (pack_ms/load_ms in the JSON rows). Same budget, twice "
+               "the trees:\n";
   large_table.print();
   std::cout << "Expected shape: cache_on hit rate approaches 1 on the "
                "repeated-root workload, so qps is bounded by tree lookups\n"

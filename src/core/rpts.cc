@@ -33,21 +33,14 @@ std::vector<SptHandle> cached_spt_batch(
 
   // Pass 2: one engine batch over the unique misses, then publish. miss_reqs
   // preserves first-appearance order, so computed[k] matches the k-th
-  // distinct missing key. Each tree is wrapped into a handle exactly once;
+  // distinct missing key. Each tree is published (compacted) exactly once;
   // the cache and every requesting slot share it (insert may prefer an
   // already-resident bit-identical tree from a racing writer).
   if (!miss_reqs.empty()) {
     std::vector<Spt> computed = compute_misses(miss_reqs);
-    const bool compact = cache.compact_trees();
     for (size_t k = 0; k < miss_reqs.size(); ++k) {
       const SptKey key(version, miss_reqs[k]);
-      // Publication-time compaction: the tree is converted BEFORE it is
-      // wrapped, so the cache and every requesting slot share one (compact)
-      // handle -- pointer identity between hit and insert is preserved.
-      // Trees that cannot compact (no endpoint table, >u16 hop counts) are
-      // admitted fat; answers are identical either way.
-      if (compact) computed[k].compact();
-      auto tree = std::make_shared<const Spt>(std::move(computed[k]));
+      auto tree = publish_spt(std::move(computed[k]));
       if (auto resident = cache.insert(key, tree)) tree = std::move(resident);
       for (size_t slot : miss_slots.at(key)) out[slot] = tree;
     }
@@ -238,13 +231,14 @@ RepairOutcome IRpts::repair_tree_eps(const Spt& old_tree,
   // ---- Phase R: detach the subtree forest hanging off removed edges and
   // re-relax it EXACTLY against the surviving labels.
   if (!removed.empty()) {
-    const std::vector<Vertex> order = old_tree.top_order();
+    // nt still holds the old labels: read them there (one decode, the thaw).
+    const std::vector<Vertex> order = nt.top_order();
     std::vector<char> detached(n, 0);
     size_t detached_count = 0;
     for (Vertex v : order) {
-      const Vertex p = old_tree.parent(v);
+      const Vertex p = nt.parent(v);
       if (p == kNoVertex) continue;
-      if (detached[p] || removed.contains(old_tree.parent_edge(v))) {
+      if (detached[p] || removed.contains(nt.parent_edge(v))) {
         detached[v] = 1;
         ++detached_count;
       }

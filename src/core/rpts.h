@@ -411,17 +411,33 @@ class Rpts final : public IRpts {
     const size_t limit = std::max<size_t>(
         8, static_cast<size_t>(max_affected_fraction * static_cast<double>(n)));
 
+    RepairOutcome out;
+    // The repair mutates labels in place, so it starts from a fat copy
+    // (identity copy when the cached tree was never compacted). Re-attach
+    // THIS graph's endpoint table: the cached tree may hold the table from
+    // before a fresh-slot append (Graph::edges_mut clones when shared), and
+    // the insert phase below writes the new slot ids into parent_edge --
+    // compacting against the stale, shorter table would then read the
+    // endpoint vector out of bounds. Slots are append-only with preserved
+    // endpoint order, so the current table is valid for every old id too.
+    // nt holds the old labels until phase R writes: the passes below read
+    // them there, so a compact tree's parents are decoded once (the thaw).
+    out.tree = old_tree.thawed();
+    out.tree.attach_endpoints(g.shared_endpoints());
+    out.repaired = true;
+    Spt& nt = out.tree;
+
     // Detach: a vertex is affected by the removals iff its old tree path
     // uses a removed edge; parent propagation in root-to-leaf order marks
     // the whole detached forest in O(n).
-    const std::vector<Vertex> order = old_tree.top_order();
+    const std::vector<Vertex> order = nt.top_order();
     std::vector<char> detached(n, 0);
     size_t detached_count = 0;
     if (!removed.empty()) {
       for (Vertex v : order) {
-        const Vertex p = old_tree.parent(v);
+        const Vertex p = nt.parent(v);
         if (p == kNoVertex) continue;
-        if (detached[p] || removed.contains(old_tree.parent_edge(v))) {
+        if (detached[p] || removed.contains(nt.parent_edge(v))) {
           detached[v] = 1;
           ++detached_count;
         }
@@ -439,27 +455,14 @@ class Rpts final : public IRpts {
       return dir == Direction::kOut ? stored_from_parent : !stored_from_parent;
     };
     for (Vertex v : order) {
-      const Vertex p = old_tree.parent(v);
+      const Vertex p = nt.parent(v);
       if (p == kNoVertex || detached[v]) continue;
-      const EdgeId pe = old_tree.parent_edge(v);
+      const EdgeId pe = nt.parent_edge(v);
       Tie t = tie[p];
       policy_.accumulate(t, g.label(pe), chain_travel_forward(p, pe));
       tie[v] = std::move(t);
     }
 
-    RepairOutcome out;
-    // The repair mutates labels in place, so it starts from a fat copy
-    // (identity copy when the cached tree was never compacted). Re-attach
-    // THIS graph's endpoint table: the cached tree may hold the table from
-    // before a fresh-slot append (Graph::edges_mut clones when shared), and
-    // the insert phase below writes the new slot ids into parent_edge --
-    // compacting against the stale, shorter table would then read the
-    // endpoint vector out of bounds. Slots are append-only with preserved
-    // endpoint order, so the current table is valid for every old id too.
-    out.tree = old_tree.thawed();
-    out.tree.attach_endpoints(g.shared_endpoints());
-    out.repaired = true;
-    Spt& nt = out.tree;
     auto& nt_hops = nt.mutable_hops();
     auto& nt_parent = nt.mutable_parent();
     auto& nt_parent_edge = nt.mutable_parent_edge();

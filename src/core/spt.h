@@ -15,10 +15,12 @@
 //    shared pointer to the endpoint table of the graph the tree was built
 //    on. parent(v) is derived in O(1) as the other endpoint of
 //    parent_edge(v), so the explicit parent array is dropped entirely:
-//    6 bytes/vertex instead of 12. compact() converts in place where the
-//    serving cache admits (SptCache::Config::compact_trees); readers never
-//    notice because all access goes through the accessors below, and
-//    SptHandle ownership rules are unchanged (immutable, eviction-safe).
+//    6 bytes/vertex instead of 12. Every tree the serving stack publishes
+//    goes through publish_spt() below, which compacts it whenever it can;
+//    trees that cannot compact (no endpoint table, a path of more than
+//    65534 hops, a stale table) are published fat. Readers never notice
+//    because all access goes through the accessors below, and SptHandle
+//    ownership rules are unchanged (immutable, eviction-safe).
 // The endpoint table stays valid for the life of the tree because Graph
 // edge slots are append-only and keep their stored endpoint order across
 // tombstone flaps (see Graph::shared_endpoints).
@@ -241,9 +243,9 @@ class Spt {
 
   // A compact copy of this tree, built directly from the fat arrays without
   // copying them first -- the publication path for trees that are already
-  // behind a shared handle (the coalescing batcher receives SptHandles from
-  // spt_batch and must never mutate through one). Falls back to a plain
-  // copy when the tree cannot compact, same conditions as compact().
+  // behind a shared handle (publish_spt(SptHandle); nothing may mutate
+  // through one). Falls back to a plain copy when the tree cannot compact,
+  // same conditions as compact().
   Spt compacted() const;
 
   // A fat copy of this tree (plain copy if already fat). This is what the
@@ -292,5 +294,22 @@ class Spt {
 // (e.g. computed before and after an eviction). The storage form (fat or
 // compact) is fixed before publication and never changes behind a handle.
 using SptHandle = std::shared_ptr<const Spt>;
+
+// The one publication rule of the serving stack: compact the tree if it
+// can (see compact()), then share it. Every cache admission point goes
+// through one of these overloads. An owned tree is compacted in place.
+inline SptHandle publish_spt(Spt&& tree) {
+  tree.compact();
+  return std::make_shared<const Spt>(std::move(tree));
+}
+
+// A shared tree is never mutated through its handle: a compacted() copy is
+// swapped in only when compaction succeeds, else the same handle returns.
+inline SptHandle publish_spt(SptHandle tree) {
+  if (tree->is_compact() || !tree->endpoints()) return tree;
+  Spt compact = tree->compacted();
+  if (!compact.is_compact()) return tree;
+  return std::make_shared<const Spt>(std::move(compact));
+}
 
 }  // namespace restorable

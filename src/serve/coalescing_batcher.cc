@@ -150,13 +150,11 @@ void CoalescingBatcher::flush_loop() {
             throw std::runtime_error(
                 "CoalescingBatcher: spt_batch returned a null tree");
           // Publish to the cache; a budget-rejected insert returns null, in
-          // which case waiters still get the computed tree. Usually this is
-          // the SAME handle (zero-copy admission); a compacting cache gets
-          // (and the waiters see) a compact copy instead -- spt_batch
-          // already wrapped the tree, and nothing may mutate a published
-          // handle, so conversion here must go through compacted().
-          if (cache_ && cache_->compact_trees() && !tree->is_compact())
-            tree = std::make_shared<const Spt>(tree->compacted());
+          // which case waiters still get the computed tree. The cache and
+          // the waiters share one compact copy (spt_batch already wrapped
+          // the tree, so publish_spt goes through compacted()); a tree that
+          // cannot compact is admitted as the SAME fat handle.
+          if (cache_) tree = publish_spt(std::move(tree));
           // Accounted on the handle actually published, AFTER compaction,
           // so computed_bytes and OracleServer's direct_bytes (which also
           // compacts first) measure the same storage form.

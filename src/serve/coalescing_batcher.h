@@ -77,8 +77,8 @@ class CoalescingBatcher {
     uint64_t coalesced = 0;       // joined an already-in-flight computation
     uint64_t computed = 0;        // trees actually run on the engine
     uint64_t computed_bytes = 0;  // memory_bytes() of those trees in the
-                                  // form actually published (compact when
-                                  // the cache compacts) -- the
+                                  // form actually published (compact
+                                  // where it can be, with a cache) -- the
                                   // bytes-materialized cost of all misses,
                                   // form-consistent with direct_bytes
     uint64_t flushes = 0;         // pending-queue drains (one engine batch

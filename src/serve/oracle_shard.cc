@@ -218,10 +218,11 @@ SptHandle OracleShard::fetch_tree(const SsspRequest& req,
     // under the approximate key -- sound, just stretch-free.
     t = pin->scheme->spt_batch(std::span<const SsspRequest>(&req, 1),
                                config_.engine, nullptr)[0];
+    if (cache_) t = publish_spt(std::move(t));  // compact, like its exact twin
   } else {
     Spt computed = pin->scheme->spt(req.root, req.faults, req.dir);
-    if (cache_ && cache_->compact_trees()) computed.compact();
-    t = std::make_shared<const Spt>(std::move(computed));
+    t = cache_ ? publish_spt(std::move(computed))
+               : std::make_shared<const Spt>(std::move(computed));
   }
   if (obs) obs->compute_ns = obs::now_ns() - c0;
   direct_bytes_.fetch_add(t->memory_bytes(), std::memory_order_relaxed);
@@ -585,18 +586,16 @@ void OracleShard::repair_invalidated(
     const SptCache::Invalidated& inv = invalidated[i];
     outcomes[i] =
         inv.key.eps_q
-            ? pi_->repair_tree_eps(*inv.old_tree, batch,
-                                   inv.key.fault_set(),
-                                   config_.repair_fraction, inv.key.eps_q)
-            : pi_->repair_tree(*inv.old_tree, batch,
-                               inv.key.fault_set(), config_.repair_fraction);
+            ? pi_->repair_tree_eps(*inv.old_tree, batch, inv.key.fault_set(),
+                                   kDefaultRepairFraction, inv.key.eps_q)
+            : pi_->repair_tree(*inv.old_tree, batch, inv.key.fault_set(),
+                               kDefaultRepairFraction);
   });
   for (size_t i = 0; i < invalidated.size(); ++i) {
     // Publication point: compact before wrapping (never behind a handle).
     // The repair's compact-aware fast path usually already returned the
     // tree compact (Spt::compact_from), making this a no-op.
-    if (cache_->compact_trees()) outcomes[i].tree.compact();
-    auto tree = std::make_shared<const Spt>(std::move(outcomes[i].tree));
+    auto tree = publish_spt(std::move(outcomes[i].tree));
     direct_bytes_.fetch_add(tree->memory_bytes(),
                             std::memory_order_relaxed);
     // Count only entries actually re-populated: a null return means the
@@ -670,7 +669,7 @@ void OracleShard::absorb_locked(
                                                key.fault_set(), key.eps_q)
                      : pi_->batch_survives(res.batch, tree, key.fault_set());
         },
-        config_.prewarm_on_update ? &invalidated : nullptr);
+        &invalidated);
   }
 
   // The swap: queries that pin after this point see the new topology.

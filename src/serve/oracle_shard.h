@@ -24,7 +24,7 @@
 // graph, bumps the composite (scheme_id, epoch) version, and walks the
 // cache ONCE: trees the batch provably cannot change (IRpts::batch_survives)
 // are rekeyed to the new epoch zero-copy, affected trees are invalidated
-// (and optionally repaired/pre-warmed as one engine batch), and dead-version
+// and then repaired/pre-warmed as one engine batch, and dead-version
 // strays are aged out. The oracle keeps serving correct answers across edge
 // inserts/removals without a full rebuild or cache flush; handles held by
 // in-flight readers stay valid and bit-identical throughout (see SptHandle).
@@ -117,15 +117,6 @@ struct ServerConfig {
   bool enable_cache = true;         // false: recompute every fetch
   bool enable_coalescing = true;    // false: no single-flight (baseline)
   size_t max_batch = 0;             // cap per-flush drain (0 = unbounded)
-  // After an update, repair the invalidated trees eagerly as one engine
-  // batch (incremental Ramalingam-Reps repair where the affected region is
-  // small, from-scratch recompute otherwise), so the first post-update
-  // queries on the hot keys hit instead of paying the rebuild inline.
-  bool prewarm_on_update = true;
-  // Ceiling on the affected region an incremental repair may grow to, as a
-  // fraction of the vertex count, before the repair falls back to a full
-  // recompute (see IRpts::repair_tree).
-  double repair_fraction = kDefaultRepairFraction;
   // Approximate tier default: distance queries that do not specify their own
   // QueryOpts::epsilon are served from (1+epsilon)-stretch trees (engine
   // relaxed mode; core/spt.h quantization). 0 = the server is exact-only and
@@ -165,9 +156,9 @@ struct UpdateResult {
   size_t carried = 0;      // cached trees rekeyed forward zero-copy
   size_t invalidated = 0;  // cached trees the batch may have changed
   size_t purged_stale = 0; // dead-version entries aged out
-  // Invalidated trees re-admitted eagerly (prewarm_on_update), counting
-  // only entries actually re-populated -- never null slots. `repaired` of
-  // them came from the incremental repair path; the remaining
+  // Invalidated trees re-admitted eagerly by the post-update repair batch,
+  // counting only entries actually re-populated -- never null slots.
+  // `repaired` of them came from the incremental repair path; the remaining
   // prewarmed - repaired fell back to from-scratch recomputes.
   size_t prewarmed = 0;
   size_t repaired = 0;

@@ -31,7 +31,6 @@ SptCache::SptCache(Config config) {
   protected_fraction_ = std::clamp(config.protected_fraction, 0.0, 1.0);
   protected_budget_ = static_cast<size_t>(
       static_cast<double>(per_shard_budget_) * protected_fraction_);
-  compact_trees_ = config.compact_trees;
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i)
     shards_.push_back(std::make_unique<Shard>());

@@ -30,6 +30,8 @@
 // inserting past the slice evicts least-recently-used entries first (an
 // entry larger than its segment's slice is evicted immediately -- the
 // caller still holds its SptHandle, the cache just refuses to retain it).
+// The cache never converts a tree: every admission path publishes through
+// publish_spt (core/spt.h), so resident trees are compact unless it declined.
 #pragma once
 
 #include <cstdint>
@@ -128,16 +130,11 @@ class SptCache {
     // entry can evict any other -- the pre-segmentation behavior, kept as
     // the bench baseline.
     double protected_fraction = 0.5;
-    // Ask admission paths to publish trees in the compact form
-    // (Spt::compact(): ~6 bytes/vertex instead of 12), so a fixed
-    // byte_budget holds roughly twice the trees. The conversion happens
-    // BEFORE a tree is wrapped into its shared handle (cached_spt_batch,
-    // the server's repair/prewarm publishes), never behind one -- the cache
-    // itself stores whatever handle it is given, and trees that cannot
-    // compact (no endpoint table, >u16 hop counts) are admitted fat.
-    // Answers are identical either way; off by default because fat trees
-    // are cheaper to thaw for repair-heavy churn workloads.
-    bool compact_trees = false;
+    // Inert: the cache never reads it. It keeps the slot of the removed
+    // fat/compact publication switch so four-value positional initializers
+    // written against the old Config (perfbench/layers.cc) still compile;
+    // every tree is published through publish_spt (core/spt.h).
+    bool unused_slot = false;
   };
 
   struct Stats {
@@ -275,10 +272,6 @@ class SptCache {
   size_t shard_count() const { return shards_.size(); }
   size_t byte_budget() const { return byte_budget_; }
   double protected_fraction() const { return protected_fraction_; }
-  // Whether admission paths should Spt::compact() trees before publishing
-  // them (Config::compact_trees). Consulted by cached_spt_batch and the
-  // server's repair/prewarm inserts; the cache itself never converts.
-  bool compact_trees() const { return compact_trees_; }
   Stats stats() const;  // aggregated over shards
 
  private:
@@ -328,7 +321,6 @@ class SptCache {
   size_t per_shard_budget_;
   size_t protected_budget_;  // per shard; 0 = flat (single-class) mode
   double protected_fraction_;
-  bool compact_trees_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -1,7 +1,7 @@
 // Dual-form Spt: the compact (publication) form must answer every read
 // bit-identically to the fat (construction) form, memory_bytes() must be
-// exact for both, and the serving cache's compact_trees knob must halve the
-// resident bytes per tree (the ISSUE's >= 40% target) without changing a
+// exact for both, and publishing compact trees into the serving cache must
+// halve the resident bytes per tree (a >= 40% cut) without changing a
 // single answer.
 #include <algorithm>
 #include <memory>
@@ -193,8 +193,8 @@ TEST(CompactSpt, CacheCompactionPreservesAnswersAcrossPoliciesAndThreads) {
       const BatchSsspEngine eng(threads);
       // Reference: uncached (always fat) batch.
       const auto fat = pi.spt_batch(reqs, &eng);
-      // Compacting cache: same requests, compact trees published.
-      SptCache cache({.shards = 4, .compact_trees = true});
+      // Cached: same requests, compact trees published.
+      SptCache cache({.shards = 4});
       const auto compacted = pi.spt_batch(reqs, &eng, &cache);
       ASSERT_EQ(fat.size(), compacted.size());
       for (size_t i = 0; i < fat.size(); ++i) {
@@ -219,20 +219,25 @@ TEST(CompactSpt, CompactCacheHoldsMoreTreesAtFixedBudget) {
   for (Vertex r = 0; r < g.num_vertices(); ++r)
     reqs.push_back({r, {}, Direction::kOut});
   const BatchSsspEngine eng(2);
-  // A budget sized to hold only some of the fat trees: the compact cache
-  // must retain strictly more at the same budget.
-  SptCache::Config cfg{.shards = 1, .byte_budget = 64 * 1024,
-                       .protected_fraction = 1.0};
-  SptCache fat_cache(cfg);
-  cfg.compact_trees = true;
-  SptCache compact_cache(cfg);
-  (void)pi.spt_batch(reqs, &eng, &fat_cache);
-  (void)pi.spt_batch(reqs, &eng, &compact_cache);
-  const auto fat_stats = fat_cache.stats();
-  const auto compact_stats = compact_cache.stats();
-  ASSERT_GT(fat_stats.entries, 0u);
-  EXPECT_GT(compact_stats.entries, fat_stats.entries);
-  EXPECT_GE(compact_stats.entries, fat_stats.entries * 3 / 2);
+  // A budget sized to hold only some of the fat trees: the cache, which
+  // publishes compact trees, must retain at least 1.5x as many trees as the
+  // fat ones' own bytes could fit (cache bookkeeping overhead not even
+  // charged to the fat side).
+  const size_t budget = 64 * 1024;
+  const auto fat = pi.spt_batch(reqs, &eng);  // uncached: always fat
+  ASSERT_FALSE(fat[0]->is_compact());
+  size_t fat_fit = 0, used = 0;
+  while (fat_fit < fat.size() &&
+         used + fat[fat_fit]->memory_bytes() <= budget)
+    used += fat[fat_fit++]->memory_bytes();
+  ASSERT_GT(fat_fit, 0u);
+  ASSERT_LT(fat_fit, fat.size());
+  SptCache cache({.shards = 1, .byte_budget = budget,
+                  .protected_fraction = 1.0});
+  (void)pi.spt_batch(reqs, &eng, &cache);
+  const auto stats = cache.stats();
+  EXPECT_GT(stats.entries, fat_fit);
+  EXPECT_GE(stats.entries, fat_fit * 3 / 2);
 }
 
 }  // namespace

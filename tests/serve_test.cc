@@ -598,67 +598,131 @@ TEST(OracleServer, ConcurrentMixedQueriesAreConsistent) {
 // front-ends before anything enrolls in a batcher (an out-of-range root used
 // to write past the engine's arrays, an out-of-range target read past a fat
 // tree's). Afterwards valid queries -- misses included -- still answer, so
-// no flight was left stuck. Fat and compact trees alike.
+// no flight was left stuck.
 TEST(OracleServer, RejectsOutOfRangeVerticesAtEveryEntryPoint) {
   const Graph g = gnp_connected(30, 0.15, 91);
   const IsolationRpts pi(g, IsolationAtw(92));
   const Vertex n = g.num_vertices();
   const EdgeId e = 0;
-  for (const bool compact : {false, true}) {
-    SCOPED_TRACE(compact ? "compact" : "fat");
-    ServerConfig cfg;
-    cfg.cache.compact_trees = compact;
-    OracleServer server(pi, cfg);
-    FrontEndConfig fc;
-    fc.num_shards = 2;
-    fc.shard = cfg;
-    ShardAggregator agg(pi, fc);
-    for (const Vertex bad : {n, n + 5}) {
-      SCOPED_TRACE("bad=" + std::to_string(bad));
-      const SsspRequest req{bad, {}, Direction::kOut};
-      const std::vector<SsspRequest> batch{{1, {}, Direction::kOut}, req};
-      EXPECT_THROW(server.tree(req), std::invalid_argument);
-      EXPECT_THROW(server.distance(bad, 1), std::invalid_argument);
-      EXPECT_THROW(server.distance(1, bad), std::invalid_argument);
-      EXPECT_THROW(server.path(bad, 1), std::invalid_argument);
-      EXPECT_THROW(server.path(1, bad), std::invalid_argument);
-      EXPECT_THROW(server.replacement_distance(bad, 1, e),
-                   std::invalid_argument);
-      EXPECT_THROW(server.replacement_distance(1, bad, e),
-                   std::invalid_argument);
-      EXPECT_THROW(server.serve_batch(batch, server.pin_generation()),
-                   std::invalid_argument);
-      EXPECT_THROW(agg.tree(req), std::invalid_argument);
-      EXPECT_THROW(agg.tree_batch(batch), std::invalid_argument);
-      EXPECT_THROW(agg.distance(bad, 1), std::invalid_argument);
-      EXPECT_THROW(agg.distance(1, bad), std::invalid_argument);
-      EXPECT_THROW(agg.path(bad, 1), std::invalid_argument);
-      EXPECT_THROW(agg.path(1, bad), std::invalid_argument);
-      EXPECT_THROW(agg.replacement_distance(bad, 1, e),
-                   std::invalid_argument);
-      EXPECT_THROW(agg.replacement_distance(1, bad, e),
-                   std::invalid_argument);
-    }
-    // Rejected before enrolling: nothing was counted or submitted.
-    EXPECT_EQ(server.queries_served(), 0u);
-    EXPECT_EQ(server.batcher()->stats().requests, 0u);
-    EXPECT_EQ(agg.stats().submissions, 0u);
-
-    EXPECT_EQ(server.distance(1, 7), pi.distance(1, 7));
-    EXPECT_EQ(server.path(1, n - 1), pi.path(1, n - 1));
-    EXPECT_EQ(server.replacement_distance(2, 9, e),
-              pi.distance(2, 9, FaultSet{e}));
-    const std::vector<SsspRequest> good{{1, {}, Direction::kOut},
-                                        {n - 1, {}, Direction::kOut}};
-    const auto trees = server.serve_batch(good, server.pin_generation());
-    expect_same_tree(*trees[1], pi.spt(n - 1));
-    EXPECT_EQ(agg.distance(1, 7), pi.distance(1, 7));
-    EXPECT_EQ(agg.path(3, n - 1), pi.path(3, n - 1));
-    EXPECT_EQ(agg.replacement_distance(2, 9, e),
-              pi.distance(2, 9, FaultSet{e}));
-    const auto agg_trees = agg.tree_batch(good);
-    expect_same_tree(*agg_trees[1], pi.spt(n - 1));
+  OracleServer server(pi);
+  FrontEndConfig fc;
+  fc.num_shards = 2;
+  ShardAggregator agg(pi, fc);
+  for (const Vertex bad : {n, n + 5}) {
+    SCOPED_TRACE("bad=" + std::to_string(bad));
+    const SsspRequest req{bad, {}, Direction::kOut};
+    const std::vector<SsspRequest> batch{{1, {}, Direction::kOut}, req};
+    EXPECT_THROW(server.tree(req), std::invalid_argument);
+    EXPECT_THROW(server.distance(bad, 1), std::invalid_argument);
+    EXPECT_THROW(server.distance(1, bad), std::invalid_argument);
+    EXPECT_THROW(server.path(bad, 1), std::invalid_argument);
+    EXPECT_THROW(server.path(1, bad), std::invalid_argument);
+    EXPECT_THROW(server.replacement_distance(bad, 1, e),
+                 std::invalid_argument);
+    EXPECT_THROW(server.replacement_distance(1, bad, e),
+                 std::invalid_argument);
+    EXPECT_THROW(server.serve_batch(batch, server.pin_generation()),
+                 std::invalid_argument);
+    EXPECT_THROW(agg.tree(req), std::invalid_argument);
+    EXPECT_THROW(agg.tree_batch(batch), std::invalid_argument);
+    EXPECT_THROW(agg.distance(bad, 1), std::invalid_argument);
+    EXPECT_THROW(agg.distance(1, bad), std::invalid_argument);
+    EXPECT_THROW(agg.path(bad, 1), std::invalid_argument);
+    EXPECT_THROW(agg.path(1, bad), std::invalid_argument);
+    EXPECT_THROW(agg.replacement_distance(bad, 1, e),
+                 std::invalid_argument);
+    EXPECT_THROW(agg.replacement_distance(1, bad, e),
+                 std::invalid_argument);
   }
+  // Rejected before enrolling: nothing was counted or submitted.
+  EXPECT_EQ(server.queries_served(), 0u);
+  EXPECT_EQ(server.batcher()->stats().requests, 0u);
+  EXPECT_EQ(agg.stats().submissions, 0u);
+
+  EXPECT_EQ(server.distance(1, 7), pi.distance(1, 7));
+  EXPECT_EQ(server.path(1, n - 1), pi.path(1, n - 1));
+  EXPECT_EQ(server.replacement_distance(2, 9, e),
+            pi.distance(2, 9, FaultSet{e}));
+  const std::vector<SsspRequest> good{{1, {}, Direction::kOut},
+                                      {n - 1, {}, Direction::kOut}};
+  const auto trees = server.serve_batch(good, server.pin_generation());
+  expect_same_tree(*trees[1], pi.spt(n - 1));
+  EXPECT_EQ(agg.distance(1, 7), pi.distance(1, 7));
+  EXPECT_EQ(agg.path(3, n - 1), pi.path(3, n - 1));
+  EXPECT_EQ(agg.replacement_distance(2, 9, e),
+            pi.distance(2, 9, FaultSet{e}));
+  const auto agg_trees = agg.tree_batch(good);
+  expect_same_tree(*agg_trees[1], pi.spt(n - 1));
+}
+
+// Regression: the shard's direct-compute path (coalescing off, cache on)
+// published approximate-tier trees fat while their exact twins went compact.
+// Both tiers now publish through publish_spt, so both are stored compact and
+// still answer like the trees they were built from.
+TEST(OracleServer, DirectComputePublishesExactAndApproxTreesCompact) {
+  const Graph g = gnp_connected(40, 0.12, 93);
+  const IsolationRpts pi(g, IsolationAtw(94));
+  ServerConfig cfg;
+  cfg.enable_coalescing = false;
+  OracleServer server(pi, cfg);
+  ASSERT_EQ(server.batcher(), nullptr);
+
+  const SsspRequest exact{3, {}, Direction::kOut};
+  const SsspRequest approx{3, {}, Direction::kOut, quantize_epsilon(0.25)};
+  ASSERT_GT(approx.eps_q, 0u);
+  const SptHandle exact_tree = server.tree(exact);
+  const SptHandle approx_tree = server.tree(approx);
+  EXPECT_TRUE(exact_tree->is_compact());
+  EXPECT_TRUE(approx_tree->is_compact());
+  // The resident entries are the compact handles just served.
+  EXPECT_EQ(server.cache()->peek(SptKey(pi.version(), exact)), exact_tree);
+  EXPECT_EQ(server.cache()->peek(SptKey(pi.version(), approx)), approx_tree);
+  expect_same_tree(*exact_tree, pi.spt(3));
+  expect_same_tree(*approx_tree,
+                   *pi.spt_batch(std::span<const SsspRequest>(&approx, 1))[0]);
+}
+
+// The fat fallback through the serving path: a tree with a path of more than
+// 65534 hops cannot store its hop counts compactly, so it is published and
+// repaired fat -- and answers exactly like a from-scratch tree throughout.
+TEST(OracleServer, TreePastU16HopsIsPublishedAndRepairedFat) {
+  constexpr Vertex kN = 70000;
+  Graph g = path_graph(kN);
+  const IsolationRpts pi(g, IsolationAtw(1));
+  OracleServer server(pi);
+  const SsspRequest req{0, {}, Direction::kOut};
+  const size_t fat_bytes = sizeof(Spt) + size_t{kN} * 12;
+
+  const SptHandle tree = server.tree(req);
+  EXPECT_FALSE(tree->is_compact());
+  ASSERT_EQ(tree->hops(kN - 1), static_cast<int32_t>(kN - 1));
+  const Spt fresh = pi.spt(0);
+  expect_same_tree(*tree, fresh);
+  for (const Vertex t : {Vertex{1}, Vertex{40000}, kN - 1}) {
+    EXPECT_EQ(server.distance(0, t), fresh.hops(t));
+    EXPECT_EQ(server.path(0, t), fresh.path_to(t));
+  }
+
+  // Remove a parent edge near the far end and heal it: each update
+  // invalidates the resident tree and the repair batch re-admits it. Every
+  // repaired tree still holds a > 65534-hop path, so it stays fat, is
+  // charged in fat bytes, and matches a from-scratch rebuild.
+  const EdgeId e = tree->parent_edge(kN - 10);
+  const Edge ends = g.endpoints(e);
+  for (const GraphDelta& d :
+       {GraphDelta::remove(e), GraphDelta::insert(ends.u, ends.v)}) {
+    const UpdateResult res = server.apply_update(g, d);
+    ASSERT_TRUE(res.changed);
+    EXPECT_GE(res.invalidated, 1u);
+    EXPECT_EQ(res.prewarmed, res.invalidated);
+    const SptHandle repaired = server.cache()->peek(SptKey(pi.version(), req));
+    ASSERT_NE(repaired, nullptr);
+    EXPECT_FALSE(repaired->is_compact());
+    EXPECT_EQ(repaired->memory_bytes(), fat_bytes);
+    EXPECT_GE(server.cache()->stats().bytes, fat_bytes);
+    expect_same_tree(*repaired, pi.spt(0));
+  }
+  EXPECT_EQ(server.tree(req)->hops(kN - 1), static_cast<int32_t>(kN - 1));
 }
 
 // ---------------------------------------------------------------------------
