@@ -29,53 +29,54 @@ struct DijkstraResult {
   std::vector<typename Policy::Tie> tie;  // accumulated perturbation per vertex
 };
 
-// Establishes parents from settled labels: parent of v is the in-neighbor u
-// minimizing (dist(u) + w(u, v)), which -- distances being exact and unique
-// -- reproduces the unique shortest path tree. `done(v)` must report whether
-// v was settled; res.spt.hops / res.tie must hold the settled labels.
+// Establishes the parent of one settled vertex v != root: the first arc of
+// arcs(v) whose in-neighbor u satisfies dist(u) + w(u, v) == dist(v), which
+// -- distances being exact and unique -- is the unique shortest path tree's
+// parent edge (or, when a policy's ties collide, the first tight arc).
+// `done(u)` must report whether u was settled; res.spt.hops / res.tie must
+// hold the settled labels. Returns the number of arcs examined.
 //
-// Shared between the reference implementation below and the workspace-based
-// engine variant (engine/dijkstra_workspace.h) so the two cannot drift.
+// Shared between the reference implementation below (every settled vertex)
+// and the layered engine (engine/dijkstra_workspace.h, only vertices whose
+// best candidates tied) so the two cannot drift.
 template <typename Policy, typename DoneFn>
-void establish_sssp_parents(const Graph& g, const Policy& policy, Vertex root,
-                            const FaultSet& faults, Direction dir,
-                            DoneFn&& done, DijkstraResult<Policy>& res) {
+size_t establish_sssp_parent(const Graph& g, const Policy& policy, Vertex v,
+                             const FaultSet& faults, Direction dir,
+                             DoneFn&& done, DijkstraResult<Policy>& res) {
   using Tie = typename Policy::Tie;
-  const Vertex n = g.num_vertices();
   auto& hops = res.spt.mutable_hops();
   auto& parent = res.spt.mutable_parent();
   auto& parent_edge = res.spt.mutable_parent_edge();
-  for (Vertex v = 0; v < n; ++v) {
-    if (v == root || !done(v)) continue;
-    bool found = false;
-    Tie best{};
-    for (const Arc& a : g.arcs(v)) {
-      const Vertex u = a.to;
-      if (!done(u) || faults.contains(a.edge)) continue;
-      if (hops[u] + 1 != hops[v]) continue;
-      const bool travel_forward =
-          dir == Direction::kOut ? !a.forward : a.forward;  // u -> v travel
-      Tie t = res.tie[u];
-      policy.accumulate(t, g.label(a.edge), travel_forward);
-      if (policy.compare(t, res.tie[v]) == 0) {
-        // Exact match with the settled label: this arc is on the unique
-        // shortest path. (There can be only one by uniqueness.)
-        parent[v] = u;
-        parent_edge[v] = a.edge;
-        found = true;
-        break;
-      }
-      if (!found || policy.compare(t, best) < 0) {
-        // Fallback tracking in case exact match is never hit (should not
-        // happen with exact policies; protects the long-double policy from
-        // rounding).
-        best = t;
-        parent[v] = u;
-        parent_edge[v] = a.edge;
-        found = true;
-      }
+  bool found = false;
+  Tie best{};
+  size_t scanned = 0;
+  for (const Arc& a : g.arcs(v)) {
+    ++scanned;
+    const Vertex u = a.to;
+    if (!done(u) || faults.contains(a.edge)) continue;
+    if (hops[u] + 1 != hops[v]) continue;
+    const bool travel_forward =
+        dir == Direction::kOut ? !a.forward : a.forward;  // u -> v travel
+    Tie t = res.tie[u];
+    policy.accumulate(t, g.label(a.edge), travel_forward);
+    if (policy.compare(t, res.tie[v]) == 0) {
+      // Exact match with the settled label: this arc is on the unique
+      // shortest path. (There can be only one by uniqueness.)
+      parent[v] = u;
+      parent_edge[v] = a.edge;
+      break;
+    }
+    if (!found || policy.compare(t, best) < 0) {
+      // Fallback tracking in case exact match is never hit (should not
+      // happen with exact policies; protects the long-double policy from
+      // rounding).
+      best = t;
+      parent[v] = u;
+      parent_edge[v] = a.edge;
+      found = true;
     }
   }
+  return scanned;
 }
 
 // Runs tiebroken Dijkstra from `root` on g \ faults.
@@ -146,8 +147,10 @@ DijkstraResult<Policy> tiebroken_sssp(const Graph& g, const Policy& policy,
   // tentative labels; fix them first).
   for (Vertex v = 0; v < n; ++v)
     if (!done[v]) hops[v] = kUnreachable;
-  establish_sssp_parents(g, policy, root, faults, dir,
-                         [&done](Vertex v) { return done[v] != 0; }, res);
+  for (Vertex v = 0; v < n; ++v)
+    if (v != root && done[v])
+      establish_sssp_parent(g, policy, v, faults, dir,
+                            [&done](Vertex u) { return done[u] != 0; }, res);
   return res;
 }
 

@@ -286,6 +286,9 @@ class Rpts final : public IRpts {
   std::string name() const override { return policy_.name(); }
   const Policy& policy() const { return policy_; }
 
+  // The reference Dijkstra, deliberately not the engine: this (and sssp()
+  // below) is the independent oracle the tests and perfbench's answer
+  // checks compare engine-built trees against.
   Spt spt(Vertex root, const FaultSet& faults = {},
           Direction dir = Direction::kOut) const override {
     return tiebroken_sssp(*g_, policy_, root, faults, dir).spt;
@@ -378,9 +381,14 @@ class Rpts final : public IRpts {
     const Direction dir = old_tree.dir;
     const Vertex root = old_tree.root;
 
+    // Recompute fallback on the engine's exact path (bit-identical to
+    // spt(), without its per-call heap and mark allocations).
     auto full = [&] {
+      DijkstraResult<Policy> fresh;
+      tiebroken_sssp_into(g, policy_, root, faults, dir,
+                          thread_workspace<Policy>(), fresh);
       RepairOutcome out;
-      out.tree = spt(root, faults, dir);
+      out.tree = std::move(fresh.spt);
       out.touched = n;
       return out;
     };
@@ -514,7 +522,7 @@ class Rpts final : public IRpts {
       // Frontier: every surviving in-neighbor of a detached vertex offers a
       // candidate label across the boundary arc (travel u -> v; iterating
       // arcs of v, the stored flag flips exactly as in
-      // establish_sssp_parents).
+      // establish_sssp_parent).
       for (Vertex v = 0; v < n; ++v) {
         if (!detached[v]) continue;
         for (const Arc& a : g.arcs(v)) {

@@ -9,7 +9,7 @@
 // Storage forms. A tree exists in one of two layouts behind one read API:
 //  * fat (construction form): three n-sized SoA arrays
 //    (int32 hops, u32 parent, u32 parent_edge) -- what the engine's
-//    workspace Dijkstra writes into and what the repair paths mutate;
+//    layered SSSP writes into and what the repair paths mutate;
 //  * compact (publication form): two arrays truncated at the last reachable
 //    vertex -- u16 hops (0xFFFF = unreachable) and u32 parent_edge -- plus a
 //    shared pointer to the endpoint table of the graph the tree was built

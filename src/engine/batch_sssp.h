@@ -28,14 +28,17 @@ namespace restorable {
 
 class BatchSsspEngine {
  public:
-  // Work counters for the metrics registry: how many batches this engine
-  // has executed and how many SSSP runs they contained. Relaxed atomics
-  // bumped once per run_batch call -- nothing per-request, nothing on the
-  // per-node inner loop. Note shared() is process-wide: servers defaulting
-  // to it report the shared engine's process totals.
+  // Work counters for the metrics registry: batches executed, SSSP runs
+  // they contained, and the runs' summed work (SsspWork: vertices settled,
+  // arcs scanned). Relaxed atomics bumped once per run_batch call (batches,
+  // requests) or once per run (work) -- nothing on the per-arc inner loop.
+  // Note shared() is process-wide: servers defaulting to it report the
+  // shared engine's process totals.
   struct Stats {
     uint64_t batches = 0;
     uint64_t requests = 0;
+    uint64_t vertices_settled = 0;
+    uint64_t arcs_scanned = 0;
   };
 
   // threads == 0 sizes the pool to the hardware.
@@ -45,7 +48,9 @@ class BatchSsspEngine {
 
   Stats stats() const {
     return {batches_.load(std::memory_order_relaxed),
-            requests_.load(std::memory_order_relaxed)};
+            requests_.load(std::memory_order_relaxed),
+            vertices_settled_.load(std::memory_order_relaxed),
+            arcs_scanned_.load(std::memory_order_relaxed)};
   }
 
   // Generic fan-out over the engine's pool (deterministic per-index work,
@@ -66,9 +71,11 @@ class BatchSsspEngine {
     requests_.fetch_add(requests.size(), std::memory_order_relaxed);
     std::vector<DijkstraResult<Policy>> out(requests.size());
     pool_.parallel_for(requests.size(), [&](size_t i) {
-      tiebroken_sssp_into(g, policy, requests[i].root, requests[i].faults,
-                          requests[i].dir, thread_workspace<Policy>(), out[i],
-                          requests[i].eps_q);
+      const SsspWork work = tiebroken_sssp_into(
+          g, policy, requests[i].root, requests[i].faults, requests[i].dir,
+          thread_workspace<Policy>(), out[i], requests[i].eps_q);
+      vertices_settled_.fetch_add(work.settled, std::memory_order_relaxed);
+      arcs_scanned_.fetch_add(work.arcs, std::memory_order_relaxed);
     });
     return out;
   }
@@ -97,6 +104,8 @@ class BatchSsspEngine {
   ThreadPool pool_;
   mutable std::atomic<uint64_t> batches_{0};
   mutable std::atomic<uint64_t> requests_{0};
+  mutable std::atomic<uint64_t> vertices_settled_{0};
+  mutable std::atomic<uint64_t> arcs_scanned_{0};
 };
 
 }  // namespace restorable

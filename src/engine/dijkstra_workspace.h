@@ -1,23 +1,36 @@
 // Reusable per-thread state for tiebroken SSSP, plus the workspace-based
-// Dijkstra variant the batch engine runs.
+// engine variant the batch engine runs.
 //
-// The reference implementation (core/dijkstra.h) allocates a lazy-deletion
-// std::priority_queue and a `done` array per call. Under batch fan-out --
-// thousands of SSSP runs over the same graph -- those allocations and the
-// duplicate heap entries dominate. This variant keeps the sparse state
-// (done/open marks, heap positions, heap storage) in a workspace that is
-// reset in O(touched) between runs, and replaces the lazy heap with an
-// indexed 4-ary heap with decrease-key, so each vertex is in the heap at
-// most once.
+// Exact trees (eps_q == 0) are a BFS by hop layer. Every arc of G* weighs
+// 1 + r with |sum of r| < 1/2 along any path (core/perturbation.h), so the
+// hop count always dominates and the tiebroken distance of a layer-(k+1)
+// vertex v is min over its layer-k in-neighbors u of tie(u) + r(u, v). One
+// FIFO sweep, with the workspace's touched_ list as the queue (discovery
+// order is layer order), settles hops, tie and parent together: the first
+// discoverer of v sets all three, and a later candidate from the same layer
+// replaces them only if its tie is strictly smaller. No heap and no second
+// parent pass run.
 //
-// Output equivalence: settled (hops, tie) labels are the unique shortest
-// perturbed distances, identical to the reference implementation's, and the
-// parent pass is the *shared* establish_sssp_parents helper, so results are
-// element-wise identical for the exact policies (and tie-compare-equal for
-// the long-double policy). tests/engine_test.cc asserts this.
+// Output equivalence with the reference implementation (core/dijkstra.h):
+// the settled labels are the same minima, and the parent is the reference's
+// "first tight arc of arcs(v)" whenever that arc is unique. When two
+// candidates' ties compare equal (IsolationAtw collisions at small W,
+// RandomRealAtw rounding) the vertex goes on a short list, and after the
+// sweep its parent is re-derived by the reference's own rule
+// (establish_sssp_parent, shared with core/dijkstra.h). Any two candidates
+// that attain the minimum meet in the sweep's comparison -- the later one
+// sees a best no larger than itself -- so every collision that can change
+// the parent is listed. Results are therefore element-wise identical,
+// hops, parent, parent_edge and tie; tests/engine_test.cc asserts this.
+//
+// The (1+eps) tier (eps_q > 0) keeps an indexed 4-ary heap with
+// decrease-key over the workspace's sparse state (done/open marks, heap
+// positions, heap storage), reset in O(touched) between runs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/dijkstra.h"
@@ -28,7 +41,7 @@ namespace restorable {
 template <typename Policy>
 class DijkstraWorkspace {
  public:
-  // Vertex states during a run.
+  // Vertex states during an epsilon-tier run.
   static constexpr uint8_t kUnseen = 0;
   static constexpr uint8_t kOpen = 1;   // in the heap with a tentative label
   static constexpr uint8_t kDone = 2;   // settled
@@ -54,7 +67,11 @@ class DijkstraWorkspace {
   std::vector<uint8_t> state_;
   std::vector<uint32_t> heap_pos_;
   std::vector<Vertex> heap_;
+  // Epsilon tier: every vertex given a label, for the O(touched) reset.
+  // Exact tier: the BFS queue.
   std::vector<Vertex> touched_;
+  // Exact tier: vertices whose best candidates tied (may repeat).
+  std::vector<Vertex> tied_;
   bool dirty_ = false;
 };
 
@@ -66,38 +83,98 @@ DijkstraWorkspace<Policy>& thread_workspace() {
   return ws;
 }
 
-// Workspace-based tiebroken Dijkstra; drop-in equivalent of tiebroken_sssp
-// (same graph/policy/root/faults/dir contract, same result layout).
-//
-// eps_q > 0 switches the improvement test to the relaxed (1+eps) form
-// (epsilon_improves in core/spt.h): an open vertex is only re-labeled when
-// the candidate beats its current label by more than the (1+eps) slack, so
-// the settled labels satisfy d_true <= d <= (1+eps)^d_true * d_true while
-// the search touches (and re-heaps) far fewer vertices. Heap machinery,
-// reset, and tie accumulation (which keeps the pop order deterministic) are
-// shared with the exact mode. Two differences in the epsilon mode:
-//  * parents are assigned inline at relaxation time (from the just-popped,
-//    hence settled, source), because establish_sssp_parents assumes
-//    exact-tight labels that relaxed labels deliberately are not;
-//  * a settled label may exceed the length of its own parent chain (the
-//    chain only certifies SOME path of length <= hops[v]); parent chains
-//    still strictly descend in hops, so path_to / top_order stay valid.
-// eps_q == 0 runs the unmodified exact branch -- bit-identical output.
-template <typename Policy>
-void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
-                         const FaultSet& faults, Direction dir,
-                         DijkstraWorkspace<Policy>& ws,
-                         DijkstraResult<Policy>& res, uint32_t eps_q = 0) {
-  using Tie = typename Policy::Tie;
-  const Vertex n = g.num_vertices();
-  ws.ensure(n);
-  ws.dirty_ = true;
+// Work one tiebroken_sssp_into run did: vertices settled (every reached
+// vertex settles once) and arcs examined. The exact tier counts its sweep
+// plus the equal-tie rescans; the epsilon tier counts its relaxation sweep.
+struct SsspWork {
+  uint64_t settled = 0;
+  uint64_t arcs = 0;
+};
 
-  res.spt.root = root;
-  res.spt.dir = dir;
-  res.spt.reset(n);
-  res.spt.attach_endpoints(g.shared_endpoints());
-  res.tie.assign(n, policy.zero());
+// The exact tier: one hop-layer sweep (see the header comment). res must
+// come in reset (every hop kUnreachable, every parent kNoVertex).
+template <typename Policy>
+SsspWork layered_sssp_into(const Graph& g, const Policy& policy, Vertex root,
+                           const FaultSet& faults, Direction dir,
+                           DijkstraWorkspace<Policy>& ws,
+                           DijkstraResult<Policy>& res) {
+  using Tie = typename Policy::Tie;
+  auto& hops = res.spt.mutable_hops();
+  auto& parent = res.spt.mutable_parent();
+  auto& parent_edge = res.spt.mutable_parent_edge();
+  auto& tie = res.tie;
+  auto& queue = ws.touched_;
+  auto& tied = ws.tied_;
+  queue.clear();
+  tied.clear();
+  // In-trees search the reversed graph: an arc u -> to of the search is
+  // travel to -> u in G*, so its perturbation takes the flipped orientation.
+  const bool flip = dir == Direction::kIn;
+  SsspWork work;
+
+  hops[root] = 0;
+  queue.push_back(root);
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const Vertex u = queue[head];
+    const int32_t h = hops[u] + 1;
+    const std::span<const Arc> arcs = g.arcs(u);
+    work.arcs += arcs.size();
+    for (const Arc& a : arcs) {
+      const Vertex to = a.to;
+      // Settled in an earlier layer or in u's own: no tight arc from u.
+      if (hops[to] != kUnreachable && hops[to] != h) continue;
+      if (faults.contains(a.edge)) continue;
+      Tie t = tie[u];
+      policy.accumulate(t, g.label(a.edge), a.forward != flip);
+      if (hops[to] == kUnreachable) {
+        hops[to] = h;
+        tie[to] = std::move(t);
+        parent[to] = u;
+        parent_edge[to] = a.edge;
+        queue.push_back(to);
+        continue;
+      }
+      const int c = policy.compare(t, tie[to]);
+      if (c < 0) {
+        tie[to] = std::move(t);
+        parent[to] = u;
+        parent_edge[to] = a.edge;
+      } else if (c == 0) {
+        tied.push_back(to);
+      }
+    }
+  }
+  work.settled = queue.size();
+
+  // Equal-tie rule: a tied vertex's parent is the first tight arc of
+  // arcs(v), exactly as the reference derives every parent.
+  std::sort(tied.begin(), tied.end());
+  tied.erase(std::unique(tied.begin(), tied.end()), tied.end());
+  for (const Vertex v : tied)
+    work.arcs += establish_sssp_parent(
+        g, policy, v, faults, dir,
+        [&hops](Vertex u) { return hops[u] != kUnreachable; }, res);
+  queue.clear();
+  return work;
+}
+
+// The (1+eps) tier over the indexed 4-ary heap. An open vertex is only
+// re-labeled when the candidate beats its current label by more than the
+// (1+eps) slack (epsilon_improves in core/spt.h), so the settled labels
+// satisfy d_true <= d <= (1+eps)^d_true * d_true while the search touches
+// (and re-heaps) far fewer vertices. Parents are assigned inline at
+// relaxation time from the just-popped, hence settled, source; a settled
+// label may exceed the length of its own parent chain (the chain only
+// certifies SOME path of length <= hops[v]), but parent chains still
+// strictly descend in hops, so path_to / top_order stay valid. Tie
+// accumulation keeps the pop order deterministic. res must come in reset.
+template <typename Policy>
+SsspWork epsilon_sssp_into(const Graph& g, const Policy& policy, Vertex root,
+                           const FaultSet& faults, Direction dir,
+                           DijkstraWorkspace<Policy>& ws,
+                           DijkstraResult<Policy>& res, uint32_t eps_q) {
+  ws.ensure(g.num_vertices());
+  ws.dirty_ = true;
 
   auto& state = ws.state_;
   auto& heap_pos = ws.heap_pos_;
@@ -110,6 +187,7 @@ void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
   auto& parent = res.spt.mutable_parent();
   auto& parent_edge = res.spt.mutable_parent_edge();
   auto& tie = res.tie;
+  SsspWork work;
 
   // (hops, tie) lexicographic order on tentative labels.
   auto less = [&](Vertex a, Vertex b) {
@@ -174,7 +252,9 @@ void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
   while (!heap.empty()) {
     const Vertex v = pop_min();
     state[v] = DijkstraWorkspace<Policy>::kDone;
-    for (const Arc& a : g.arcs(v)) {
+    const std::span<const Arc> arcs = g.arcs(v);
+    work.arcs += arcs.size();
+    for (const Arc& a : arcs) {
       const Vertex to = a.to;
       if (state[to] == DijkstraWorkspace<Policy>::kDone ||
           faults.contains(a.edge))
@@ -188,52 +268,26 @@ void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
         hops[to] = h;
         tie[to] = tie[v];
         policy.accumulate(tie[to], g.label(a.edge), travel_forward);
-        if (eps_q) {
-          parent[to] = v;
-          parent_edge[to] = a.edge;
-        }
+        parent[to] = v;
+        parent_edge[to] = a.edge;
         state[to] = DijkstraWorkspace<Policy>::kOpen;
         ws.touched_.push_back(to);
         push(to);
         continue;
       }
-      if (eps_q) {
-        // Relaxed test: only a better-than-(1+eps) candidate re-labels an
-        // open vertex. v was just popped, so its label is final and the
-        // inline parent assignment is sound (hops[to] = hops[v] + 1 with v
-        // settled; no later relaxation can touch v).
-        if (!epsilon_improves(hops[to], h, eps_q)) continue;
-        hops[to] = h;
-        tie[to] = tie[v];
-        policy.accumulate(tie[to], g.label(a.edge), travel_forward);
-        parent[to] = v;
-        parent_edge[to] = a.edge;
-        sift_up(heap_pos[to]);
-        continue;
-      }
-      if (h > hops[to]) continue;
-      Tie t = tie[v];
-      policy.accumulate(t, g.label(a.edge), travel_forward);
-      if (h < hops[to] || policy.compare(t, tie[to]) < 0) {
-        hops[to] = h;
-        tie[to] = std::move(t);
-        sift_up(heap_pos[to]);
-      }
+      // v was just popped, so its label is final and the inline parent
+      // assignment is sound (no later relaxation can touch v).
+      if (!epsilon_improves(hops[to], h, eps_q)) continue;
+      hops[to] = h;
+      tie[to] = tie[v];
+      policy.accumulate(tie[to], g.label(a.edge), travel_forward);
+      parent[to] = v;
+      parent_edge[to] = a.edge;
+      sift_up(heap_pos[to]);
     }
   }
-
-  // Every touched vertex was settled (the heap drains completely), so hops
-  // and tie now hold exactly the settled labels; untouched vertices kept
-  // kUnreachable from the assign above. Exact parents come from the shared
-  // tightness pass; epsilon-mode parents were assigned inline above (the
-  // tightness pass would reject relaxed labels).
-  if (eps_q == 0)
-    establish_sssp_parents(
-        g, policy, root, faults, dir,
-        [&state](Vertex v) {
-          return state[v] == DijkstraWorkspace<Policy>::kDone;
-        },
-        res);
+  // The heap drains completely, so every touched vertex was settled.
+  work.settled = ws.touched_.size();
 
   // O(touched) reset, restoring the clean-state invariant for the next run.
   for (const Vertex v : ws.touched_) {
@@ -242,6 +296,27 @@ void tiebroken_sssp_into(const Graph& g, const Policy& policy, Vertex root,
   }
   ws.touched_.clear();
   ws.dirty_ = false;
+  return work;
+}
+
+// Workspace-based tiebroken SSSP; drop-in equivalent of tiebroken_sssp
+// (same graph/policy/root/faults/dir contract, same result layout).
+// eps_q == 0 runs the exact layered sweep, bit-identical to the reference;
+// eps_q > 0 runs the relaxed (1+eps) heap search. Returns the work done.
+template <typename Policy>
+SsspWork tiebroken_sssp_into(const Graph& g, const Policy& policy,
+                             Vertex root, const FaultSet& faults,
+                             Direction dir, DijkstraWorkspace<Policy>& ws,
+                             DijkstraResult<Policy>& res, uint32_t eps_q = 0) {
+  const Vertex n = g.num_vertices();
+  res.spt.root = root;
+  res.spt.dir = dir;
+  res.spt.reset(n);
+  res.spt.attach_endpoints(g.shared_endpoints());
+  res.tie.assign(n, policy.zero());
+  return eps_q ? epsilon_sssp_into(g, policy, root, faults, dir, ws, res,
+                                   eps_q)
+               : layered_sssp_into(g, policy, root, faults, dir, ws, res);
 }
 
 }  // namespace restorable

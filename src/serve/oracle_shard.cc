@@ -195,6 +195,8 @@ void OracleShard::register_providers() {
             BatchSsspEngine::or_shared(config_.engine).stats();
         b.counter("batches", s.batches);
         b.counter("requests", s.requests);
+        b.counter("vertices_settled", s.vertices_settled);
+        b.counter("arcs_scanned", s.arcs_scanned);
       }));
 }
 

@@ -234,6 +234,28 @@ TEST(ServerObs, OneSnapshotCoversEveryComponent) {
   EXPECT_GE(snap.value_or("engine", "batches"), 1);
 }
 
+TEST(ServerObs, EngineCountsSettledVerticesAndScannedArcs) {
+  // cycle(9): every fault-free tree settles all 9 vertices and scans both
+  // arcs of each, 18 in all. A private engine keeps other tests' work out.
+  const Graph g = cycle(9);
+  const IsolationRpts pi(g, IsolationAtw(8));
+  const BatchSsspEngine engine(1);
+  ServerConfig cfg;
+  cfg.engine = &engine;
+  OracleServer server(pi, cfg);
+  server.distance(0, 4);
+  server.distance(3, 8);
+  // The (1+eps) heap path counts its relaxation sweep the same way.
+  const SsspRequest eps_req{2, {}, Direction::kOut, quantize_epsilon(0.25)};
+  engine.run_batch(g, pi.policy(), std::span<const SsspRequest>(&eps_req, 1));
+
+  const obs::MetricsSnapshot snap = server.metrics().snapshot();
+  const int64_t trees = snap.value_or("engine", "requests");
+  EXPECT_GE(trees, 3);
+  EXPECT_EQ(snap.value_or("engine", "vertices_settled"), 9 * trees);
+  EXPECT_EQ(snap.value_or("engine", "arcs_scanned"), 18 * trees);
+}
+
 TEST(ServerObs, StatsComposesFromOneSnapshot) {
   const Graph g = gnp_connected(40, 0.1, 13);
   const IsolationRpts pi(g, IsolationAtw(3));
