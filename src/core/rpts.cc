@@ -93,21 +93,23 @@ bool IRpts::tree_survives(const GraphDelta& delta, const Spt& tree,
 }
 
 bool IRpts::batch_survives(const DeltaBatch& batch, const Spt& tree,
-                           const FaultSet& faults) const {
+                           const FaultSet& faults, uint32_t eps_q) const {
   // Conjunction over the batch's net deltas; exact, see the header. Order
   // does not matter: each per-delta test reads only the old tree and
   // per-label data, both invariant under the other deltas. Removals share
   // ONE parent-edge scan instead of one tree walk per delta -- for every
-  // scheme, removal survival is the generic stability rule (the tree avoids
-  // the removed edge; see the base tree_survives), so testing k removals is
-  // one membership sweep. Inserts go through the virtual per-delta test
-  // (Rpts<Policy> refines them with exact tightness arithmetic).
+  // scheme and either tier, removal survival is the generic stability rule
+  // (the tree avoids the removed edge; see the base tree_survives), so
+  // testing k removals is one membership sweep. Inserts go through the
+  // virtual per-delta test (Rpts<Policy> refines them with exact tightness
+  // arithmetic), or the (1+eps) feasibility test on an approximate tree.
   FaultSet removed;
   for (const GraphDelta& d : batch.net) {
     if (d.edge != kNoEdge && faults.contains(d.edge)) continue;
     if (d.kind == GraphDelta::Kind::kRemove)
       removed.insert(d.edge);
-    else if (!tree_survives(d, tree, faults))
+    else if (!(eps_q ? tree_survives_eps(d, tree, faults, eps_q)
+                     : tree_survives(d, tree, faults)))
       return false;
   }
   if (removed.empty()) return true;
@@ -145,27 +147,6 @@ bool IRpts::tree_survives_eps(const GraphDelta& delta, const Spt& tree,
          !epsilon_improves(tree.hops(delta.u), tree.hops(delta.v) + 1, eps_q);
 }
 
-bool IRpts::batch_survives_eps(const DeltaBatch& batch, const Spt& tree,
-                               const FaultSet& faults, uint32_t eps_q) const {
-  // Same structure as batch_survives: per-delta tests are independent (each
-  // reads only the old tree), removals collapse to one membership sweep.
-  FaultSet removed;
-  for (const GraphDelta& d : batch.net) {
-    if (d.edge != kNoEdge && faults.contains(d.edge)) continue;
-    if (d.kind == GraphDelta::Kind::kRemove)
-      removed.insert(d.edge);
-    else if (!tree_survives_eps(d, tree, faults, eps_q))
-      return false;
-  }
-  if (removed.empty()) return true;
-  const Vertex n = tree.num_vertices();
-  for (Vertex v = 0; v < n; ++v) {
-    const EdgeId pe = tree.parent_edge(v);
-    if (pe != kNoEdge && removed.contains(pe)) return false;
-  }
-  return true;
-}
-
 RepairOutcome IRpts::repair_tree_eps(const Spt& old_tree,
                                      const DeltaBatch& batch,
                                      const FaultSet& faults,
@@ -175,11 +156,12 @@ RepairOutcome IRpts::repair_tree_eps(const Spt& old_tree,
   const Vertex n = g.num_vertices();
 
   auto full = [&] {
-    // Fallback: a from-scratch EXACT recompute. Exact labels satisfy F at
-    // any eps (feasibility with slack is weaker than tight feasibility), so
-    // this is always a valid -- if conservative -- approximate tree.
+    // Fallback: a from-scratch EXACT recompute on the engine. Exact labels
+    // satisfy F at any eps (feasibility with slack is weaker than tight
+    // feasibility), so this is always a valid approximate tree.
+    const SsspRequest req{old_tree.root, faults, old_tree.dir};
     RepairOutcome out;
-    out.tree = spt(old_tree.root, faults, old_tree.dir);
+    out.tree = *spt_batch(std::span<const SsspRequest>(&req, 1))[0];
     out.touched = n;
     return out;
   };

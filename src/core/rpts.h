@@ -139,8 +139,13 @@ class IRpts {
   // the grown graph iff they are for every new edge separately), so the
   // conjunction over net deltas decides the whole batch. A flap healed
   // within the batch has no net delta and vacuously survives.
+  //
+  // eps_q > 0 judges an approximate tree of that tier instead: removals are
+  // decided exactly as above, and each insert goes to tree_survives_eps
+  // (below) rather than the exact tree_survives. The conjunction is exact
+  // for the same reason: each per-edge F2 check reads only the old tree.
   bool batch_survives(const DeltaBatch& batch, const Spt& tree,
-                      const FaultSet& faults) const;
+                      const FaultSet& faults, uint32_t eps_q = 0) const;
 
   // Advances `old_tree` -- computed by this scheme at batch.old_epoch for
   // `faults` -- to batch.new_epoch. The result is bit-identical to a
@@ -160,8 +165,10 @@ class IRpts {
 
   // ---- Approximate (1+eps) tier ------------------------------------------
   //
-  // Approximate trees (SsspRequest::eps_q > 0) are governed by a maintained
-  // per-edge contract F rather than bit-identity:
+  // A fresh approximate tree (SsspRequest::eps_q > 0) is the exact tree. Its
+  // cache entry then drifts from the exact one under updates: it is carried
+  // forward and repaired against a maintained per-edge contract F rather
+  // than bit-identity:
   //   F1 (realizability): every finite label hops[v] is witnessed by the
   //       parent chain -- a real root~v path in G \ F of length <= hops[v]
   //       (chains strictly descend in hops) -- so hops[v] >= d_true(v);
@@ -188,12 +195,11 @@ class IRpts {
   bool tree_survives_eps(const GraphDelta& delta, const Spt& tree,
                          const FaultSet& faults, uint32_t eps_q) const;
 
-  // Conjunction over the batch's net deltas (removals share one parent-edge
-  // membership sweep, exactly like batch_survives). eps_q == 0 degenerates
-  // to a strictly tighter test than batch_survives would apply -- callers
-  // route exact keys to batch_survives instead.
+  // batch_survives(batch, tree, faults, eps_q) under the tier's own name.
   bool batch_survives_eps(const DeltaBatch& batch, const Spt& tree,
-                          const FaultSet& faults, uint32_t eps_q) const;
+                          const FaultSet& faults, uint32_t eps_q) const {
+    return batch_survives(batch, tree, faults, eps_q);
+  }
 
   // Epsilon repair: advances an approximate tree across `batch` so that F
   // holds at the new epoch. Hops-only two-phase repair: removals detach the
@@ -201,11 +207,11 @@ class IRpts {
   // (detached labels that come back LOWER than before tighten the
   // feasibility constraints on arcs leaving them and seed a relaxed
   // decrease-cascade); net inserts then cascade with the relaxed
-  // (1+eps) improvement test, which settles far fewer vertices than exact
-  // repair. Past `max_affected_fraction` the repair falls back to a full
-  // exact recompute (repaired = false) -- exact trees satisfy F trivially.
-  // NOT bit-identical to a fresh relaxed compute (see SptKey::eps_q); the
-  // result is within the stretch bound, which is the approximate tier's
+  // (1+eps) improvement test, which only re-labels vertices whose label
+  // breaks F. Past `max_affected_fraction` the repair falls back to a full
+  // exact recompute on the engine (repaired = false) -- exact trees satisfy
+  // F trivially. NOT bit-identical to a fresh compute (see SptKey::eps_q);
+  // the result is within the stretch bound, which is the approximate tier's
   // whole contract.
   RepairOutcome repair_tree_eps(const Spt& old_tree, const DeltaBatch& batch,
                                 const FaultSet& faults,

@@ -46,8 +46,8 @@ enum class Direction : uint8_t { kOut, kIn };
 // Fixed-point denominator of the quantized approximation parameter: a
 // request's eps_q encodes epsilon = eps_q / kEpsilonDenom. Quantizing keys
 // the approximate tier exactly -- two callers asking for "about 0.1" land on
-// the same cache entry -- and keeps the relaxed Dijkstra improvement test in
-// exact integer arithmetic (no float compare on the hot path).
+// the same cache entry -- and keeps the relaxed improvement test in exact
+// integer arithmetic (no float compare on the hot path).
 inline constexpr uint32_t kEpsilonDenom = 1024;
 
 // Floor-quantization: the effective epsilon never exceeds the requested one,
@@ -65,9 +65,9 @@ inline double dequantize_epsilon(uint32_t eps_q) {
   return static_cast<double>(eps_q) / static_cast<double>(kEpsilonDenom);
 }
 
-// The relaxed improvement test shared by the engine's epsilon-mode Dijkstra,
-// the serving tier's epsilon survival / repair predicates, and the tests:
-// a candidate hop count improves the current label iff
+// The relaxed improvement test shared by the epsilon survival and repair
+// rules (IRpts::tree_survives_eps, repair_tree_eps) and the tests: a
+// candidate hop count improves the current label iff
 // cur > (1 + epsilon) * cand, evaluated exactly over integers. eps_q == 0
 // degenerates to the strict test cur > cand.
 inline bool epsilon_improves(int32_t cur_hops, int32_t cand_hops,
@@ -83,10 +83,11 @@ inline bool epsilon_improves(int32_t cur_hops, int32_t cand_hops,
 // IRpts::spt_batch interface) consume; results always come back in request
 // order, independent of scheduling.
 //
-// eps_q > 0 asks for the approximate tier: the engine runs the relaxed
-// (1+eps) improvement test, so the returned labels satisfy
-// d_true <= d <= (1+eps)^d_true * d_true per vertex. eps_q == 0 (the
-// default) is the exact tier -- bit-identical to the pre-epsilon engine.
+// eps_q > 0 asks for the approximate tier. A fresh compute returns the
+// exact tree either way (it meets the (1+eps) contract at every eps); eps_q
+// keys the tree's own cache entry and selects the relaxed survival and
+// repair rules that let it drift, within d <= (1+eps)^d_true * d_true per
+// vertex, as the graph changes. eps_q == 0 (the default) is the exact tier.
 struct SsspRequest {
   Vertex root = kNoVertex;
   FaultSet faults{};

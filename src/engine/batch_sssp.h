@@ -62,7 +62,8 @@ class BatchSsspEngine {
   }
 
   // Runs every request on g under `policy`; result i corresponds to
-  // requests[i] whatever the thread count or schedule.
+  // requests[i] whatever the thread count or schedule. Every request gets
+  // the exact tree, whatever its eps_q.
   template <typename Policy>
   std::vector<DijkstraResult<Policy>> run_batch(
       const Graph& g, const Policy& policy,
@@ -73,7 +74,7 @@ class BatchSsspEngine {
     pool_.parallel_for(requests.size(), [&](size_t i) {
       const SsspWork work = tiebroken_sssp_into(
           g, policy, requests[i].root, requests[i].faults, requests[i].dir,
-          thread_workspace<Policy>(), out[i], requests[i].eps_q);
+          thread_workspace<Policy>(), out[i]);
       vertices_settled_.fetch_add(work.settled, std::memory_order_relaxed);
       arcs_scanned_.fetch_add(work.arcs, std::memory_order_relaxed);
     });

@@ -212,20 +212,11 @@ SptHandle OracleShard::fetch_tree(const SsspRequest& req,
   // of a batcher leader.
   if (obs) obs->outcome = FetchObs::kLeader;
   const uint64_t c0 = obs::now_ns();
-  SptHandle t;
-  if (req.eps_q) {
-    // The virtual spt() has no epsilon parameter; the batch interface is the
-    // epsilon-aware entry point (Rpts routes it through the engine's relaxed
-    // mode). A scheme whose spt_batch ignores eps_q returns exact trees
-    // under the approximate key -- sound, just stretch-free.
-    t = pin->scheme->spt_batch(std::span<const SsspRequest>(&req, 1),
-                               config_.engine, nullptr)[0];
-    if (cache_) t = publish_spt(std::move(t));  // compact, like its exact twin
-  } else {
-    Spt computed = pin->scheme->spt(req.root, req.faults, req.dir);
-    t = cache_ ? publish_spt(std::move(computed))
-               : std::make_shared<const Spt>(std::move(computed));
-  }
+  // One engine run for either tier: a fresh approximate tree is the exact
+  // tree, filed under its own key.
+  SptHandle t = pin->scheme->spt_batch(std::span<const SsspRequest>(&req, 1),
+                                       config_.engine, nullptr)[0];
+  if (cache_) t = publish_spt(std::move(t));  // compact before sharing
   if (obs) obs->compute_ns = obs::now_ns() - c0;
   direct_bytes_.fetch_add(t->memory_bytes(), std::memory_order_relaxed);
   if (cache_) {
@@ -666,10 +657,8 @@ void OracleShard::absorb_locked(
           // Approximate-tier entries survive under the epsilon-slack test
           // (invariant F, core/rpts.h) -- measurably more of them carry
           // forward than exact entries under the same churn.
-          return key.eps_q
-                     ? pi_->batch_survives_eps(res.batch, tree,
-                                               key.fault_set(), key.eps_q)
-                     : pi_->batch_survives(res.batch, tree, key.fault_set());
+          return pi_->batch_survives(res.batch, tree, key.fault_set(),
+                                     key.eps_q);
         },
         &invalidated);
   }

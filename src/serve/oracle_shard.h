@@ -118,8 +118,9 @@ struct ServerConfig {
   bool enable_coalescing = true;    // false: no single-flight (baseline)
   size_t max_batch = 0;             // cap per-flush drain (0 = unbounded)
   // Approximate tier default: distance queries that do not specify their own
-  // QueryOpts::epsilon are served from (1+epsilon)-stretch trees (engine
-  // relaxed mode; core/spt.h quantization). 0 = the server is exact-only and
+  // QueryOpts::epsilon are served from (1+epsilon)-stretch trees (fresh
+  // ones are exact; epsilon relaxes survival and repair under updates;
+  // core/spt.h quantization). 0 = the server is exact-only and
   // nothing below changes behavior. Path and replacement queries ALWAYS
   // escalate to the exact tier (path reconstruction needs a real tree walk).
   double default_epsilon = 0.0;

@@ -1,18 +1,21 @@
-// Tests for the approximate (1+eps) tier: the engine's relaxed Dijkstra
-// mode, the eps-slack survival/repair variants (invariant F, core/rpts.h),
-// the eps-keyed cache identity, and the OracleServer escalation rules.
+// Tests for the approximate (1+eps) tier: fresh approximate trees, the
+// eps-slack survival/repair rules (invariant F, core/rpts.h), the eps-keyed
+// cache identity, and the OracleServer escalation rules.
 //
-// The two load-bearing properties:
-//  * eps_q == 0 requests are BIT-IDENTICAL to the exact engine at every
-//    thread count and under every tiebreaking policy -- the approximate
-//    tier is provably invisible when it is off.
-//  * every approximate label is sandwiched: d_true <= hops <= (1+eps)^d_true
-//    * d_true, with reachability preserved exactly.
+// The load-bearing properties:
+//  * a fresh approximate tree is the exact tree: eps_q only keys the cache
+//    entry and selects the survival and repair rules, so every request, at
+//    any eps, is BIT-IDENTICAL to the exact engine at every thread count and
+//    under every tiebreaking policy.
+//  * every approximate label, fresh or carried through churn, is
+//    sandwiched: d_true <= hops <= (1+eps)^d_true * d_true, with
+//    reachability preserved exactly.
 #include "core/rpts.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/dijkstra.h"
@@ -130,6 +133,73 @@ TEST(ApproxEngine, EpsZeroBitIdenticalAcrossPoliciesAndThreads) {
     run_exact_identity_fuzz(g, RandomRealAtw(variant * 7 + 2,
                                              g.num_vertices()));
     run_exact_identity_fuzz(g, DeterministicAtw(g));
+  }
+}
+
+// --- A fresh approximate tree is the exact tree. ---------------------------
+
+// Each (root, dir, faults) is requested at eps_q == 0 and at every eps in
+// one batch, so the tiers share thread workspaces; every approximate result
+// must equal its exact twin in hops, parent, parent_edge and tie.
+template <typename Policy>
+void expect_fresh_eps_trees_exact(const Graph& g, const Policy& policy) {
+  const std::vector<uint32_t> eps_levels{quantize_epsilon(0.05),
+                                         quantize_epsilon(0.25),
+                                         quantize_epsilon(1.0)};
+  const Vertex n = g.num_vertices();
+  std::vector<SsspRequest> reqs;
+  for (const Vertex root : {Vertex{0}, n / 2 + 1}) {
+    for (const Direction dir : {Direction::kOut, Direction::kIn}) {
+      // The single fault cuts the fault-free tree a third of the way on.
+      const Spt base = tiebroken_sssp(g, policy, root, {}, dir).spt;
+      Vertex cut = (root + n / 3) % n;
+      while (base.parent_edge(cut) == kNoEdge) cut = (cut + 1) % n;
+      const FaultSet cut_fault{base.parent_edge(cut)};
+      for (const FaultSet& faults : {FaultSet{}, cut_fault}) {
+        reqs.push_back({root, faults, dir, 0});
+        for (const uint32_t eps_q : eps_levels)
+          reqs.push_back({root, faults, dir, eps_q});
+      }
+    }
+  }
+  const size_t group = 1 + eps_levels.size();
+  for (int threads : {1, 2, 8}) {
+    const BatchSsspEngine eng(threads);
+    const auto got = eng.run_batch(g, policy, reqs);
+    ASSERT_EQ(got.size(), reqs.size());
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      if (reqs[i].eps_q == 0) continue;
+      const auto& exact = got[i - i % group];
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " root=" +
+                   std::to_string(reqs[i].root) + " eps_q=" +
+                   std::to_string(reqs[i].eps_q) + " faults=" +
+                   std::to_string(reqs[i].faults.size()) + " dir=" +
+                   (reqs[i].dir == Direction::kOut ? "out" : "in"));
+      ASSERT_EQ(got[i].spt.num_vertices(), exact.spt.num_vertices());
+      ASSERT_EQ(got[i].tie.size(), exact.tie.size());
+      size_t mismatches = 0;
+      Vertex first = kNoVertex;
+      for (Vertex v = 0; v < n; ++v) {
+        if (got[i].spt.hops(v) == exact.spt.hops(v) &&
+            got[i].spt.parent(v) == exact.spt.parent(v) &&
+            got[i].spt.parent_edge(v) == exact.spt.parent_edge(v) &&
+            got[i].tie[v] == exact.tie[v])
+          continue;
+        if (mismatches++ == 0) first = v;
+      }
+      EXPECT_EQ(mismatches, 0u) << "first mismatch at vertex " << first;
+    }
+  }
+}
+
+TEST(ApproxEngine, FreshEpsTreeIsTheExactTree) {
+  const Graph graphs[] = {gnp_connected(2000, 8.0 / 2000, 81),
+                          sparse_connected(2000, 3, 82)};
+  uint64_t seed = 90;
+  for (const Graph& g : graphs) {
+    expect_fresh_eps_trees_exact(g, IsolationAtw(++seed));
+    expect_fresh_eps_trees_exact(g, RandomRealAtw(++seed, g.num_vertices()));
+    expect_fresh_eps_trees_exact(g, DeterministicAtw(g));
   }
 }
 

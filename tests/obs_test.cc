@@ -245,7 +245,8 @@ TEST(ServerObs, EngineCountsSettledVerticesAndScannedArcs) {
   OracleServer server(pi, cfg);
   server.distance(0, 4);
   server.distance(3, 8);
-  // The (1+eps) heap path counts its relaxation sweep the same way.
+  // An approximate request runs the same exact sweep, so it counts the
+  // same work.
   const SsspRequest eps_req{2, {}, Direction::kOut, quantize_epsilon(0.25)};
   engine.run_batch(g, pi.policy(), std::span<const SsspRequest>(&eps_req, 1));
 

@@ -682,6 +682,35 @@ TEST(OracleServer, DirectComputePublishesExactAndApproxTreesCompact) {
                    *pi.spt_batch(std::span<const SsspRequest>(&approx, 1))[0]);
 }
 
+// With coalescing off, a miss is computed by one engine run on the
+// configured engine, for either tier, and both tiers' fresh trees are the
+// reference tree.
+TEST(OracleServer, DirectComputeRunsOnTheConfiguredEngine) {
+  const Graph g = gnp_connected(60, 0.08, 95);
+  const IsolationRpts pi(g, IsolationAtw(96));
+  const BatchSsspEngine engine(2);
+  ServerConfig cfg;
+  cfg.enable_coalescing = false;
+  cfg.engine = &engine;
+  OracleServer server(pi, cfg);
+  ASSERT_EQ(server.batcher(), nullptr);
+  auto engine_requests = [&] {
+    return server.metrics().snapshot().value_or("engine", "requests");
+  };
+
+  const FaultSet faults{pi.spt(5).parent_edge(30)};
+  for (const uint32_t eps_q : {uint32_t{0}, quantize_epsilon(0.25)}) {
+    const SsspRequest req{5, faults, Direction::kOut, eps_q};
+    const int64_t before = engine_requests();
+    const SptHandle t = server.tree(req);
+    EXPECT_EQ(engine_requests(), before + 1) << "eps_q=" << eps_q;
+    expect_same_tree(*t, pi.spt(5, faults));
+    // A second fetch is a cache hit: no engine run.
+    EXPECT_EQ(server.tree(req), t);
+    EXPECT_EQ(engine_requests(), before + 1);
+  }
+}
+
 // The fat fallback through the serving path: a tree with a path of more than
 // 65534 hops cannot store its hop counts compactly, so it is published and
 // repaired fat -- and answers exactly like a from-scratch tree throughout.

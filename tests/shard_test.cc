@@ -179,6 +179,28 @@ TEST(CompactRepair, PatchedImageBitIdenticalToRoundTrip) {
   }
 }
 
+// A removal that detaches more than the affected-region limit sends the
+// epsilon repair to its fallback: an exact recompute on the engine, which
+// yields the reference tree.
+TEST(CompactRepair, EpsRepairFallbackIsTheExactTree) {
+  Graph g = cycle(40);
+  const IsolationRpts pi(g, IsolationAtw(21));
+  const SsspRequest req{0, {}, Direction::kOut, quantize_epsilon(0.25)};
+  const Spt old_tree = *pi.spt_batch(std::span<const SsspRequest>(&req, 1))[0];
+  // Vertex 1 hangs off the root, and about half the cycle hangs off it.
+  const GraphDelta d = GraphDelta::remove(old_tree.parent_edge(1));
+  const DeltaBatch batch = g.apply(std::span<const GraphDelta>(&d, 1));
+  ASSERT_TRUE(batch.changed());
+  // Limit max(8, 0.1 * 40) = 8 detached vertices. The recompute is one
+  // request on the shared engine.
+  const uint64_t runs = BatchSsspEngine::shared().stats().requests;
+  const RepairOutcome out =
+      pi.repair_tree_eps(old_tree, batch, {}, 0.1, req.eps_q);
+  EXPECT_FALSE(out.repaired);
+  EXPECT_EQ(BatchSsspEngine::shared().stats().requests, runs + 1);
+  expect_same_tree(out.tree, pi.spt(0));
+}
+
 // A fat repair input (no compact image to reuse) must be left fat: the fast
 // path is strictly opt-in by the old tree's storage form.
 TEST(CompactRepair, FatInputStaysFat) {
