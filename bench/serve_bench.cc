@@ -1,50 +1,24 @@
-// Serving-layer benchmark: closed-loop multi-threaded query driver over
-// OracleServer, cache-on versus cache-off.
+// Serving-layer benchmark: closed-loop multi-threaded query drivers over
+// OracleServer (and the sharded ShardAggregator), one scenario per serving
+// mechanism, all on the same shared driver.
 //
-// The workload models the system's north-star shape -- heavy repeated
-// traffic against a fixed scheme: T closed-loop worker threads each issue a
-// deterministic stream of mixed (s, t, F) queries whose sources concentrate
-// on a hot root set (every consumer of a routing scheme asks about the same
-// few sources over and over). Cache-on serves trees from the sharded SPT
-// store through the single-flight batcher; cache-off recomputes a tiebroken
-// Dijkstra per fetch -- the honest baseline of what every query cost before
-// src/serve/ existed.
-//
-// Per (family, threads, mode) row: throughput (qps), latency percentiles
-// (p50/p99 us), cache hit rate, coalescing stats, and an answer-correctness
-// spot check against the scheme computed directly. JSON rows feed
-// BENCH_SERVE.json (committed trajectory) and the CI bench-smoke artifact.
-//
-// A second scenario (bench=serve_scan rows) stresses cache admission: a
-// fault-tree scan (each query computes a fresh single-fault tree) runs
-// against a small budget, once with the flat LRU (protected_fraction = 0)
-// and once with segmented admission. The judged signal is base_hit_rate:
-// segmented admission must keep the hot base trees resident under the scan.
-//
-// A third scenario (bench=serve_churn rows) exercises the dynamic-update
-// pipeline: query phases interleaved with seeded edge flaps (remove a hot
-// tree edge or a random edge, then put it back) applied through
-// OracleServer::apply_update. Reported per (family, threads) row:
-// invalidated-vs-carried-forward tree counts, post-update recovery latency
-// (first queries of each post-flap phase) versus steady-state, the
-// per-phase hit-rate trajectory, and a correctness spot check of sampled
-// answers against a from-scratch IRpts rebuild of each phase's topology.
-//
-// A fourth scenario (bench=serve_burst rows) measures the batched-delta
-// pipeline: the same k removals applied as k apply_update calls versus ONE
-// apply_updates batch (one cache walk, one epoch bump, one incremental-
-// repair engine batch), reporting apply_ms, repaired-vs-recomputed counts
-// and recovery latency. CI asserts the burst beats the k single applies.
-//
-// A fifth scenario (bench=serve_churn_rcu rows) isolates the QUERY-SIDE
-// cost of updates: the same closed-loop workload measured quiet and then
-// under a background mutator thread continuously flapping one hot-tree
-// edge, with the lock-free epoch-pinned reads every query takes (mode
-// `rcu`). Reported per threads row: p99 quiet vs under churn and their
-// ratio, updates applied during the churn window, generation
-// publish/retire counters, and a correctness check of sampled answers
-// against from-scratch rebuilds of both live topologies. CI asserts shape
-// + correctness only (no timing asserts -- shared 1-core runners).
+// Every scenario issues a deterministic, seeded query stream through
+// run_closed_loop (T worker threads, sources concentrated on a hot root set
+// -- every consumer of a routing scheme asks about the same few sources),
+// keeps every Nth (query, answer) pair, and checks those samples with
+// verify() against from-scratch IsolationRpts rebuilds AFTER the clock
+// stops. Each scenario emits JSON rows tagged bench=<scenario> for
+// BENCH_SERVE.json (committed trajectory) and the CI bench-smoke artifact;
+// bench/check_smoke.py holds the gates. Every row is gated on
+// correct == checked; per scenario, the other gates are:
+//   serve            cache on vs off: hit rate > 0.5, >= 2x qps, fewer bytes
+//   serve_scan       fault-tree scan: segmented base hit rate >= flat LRU's
+//   serve_churn      edge flaps: trees carried + invalidated, no phase flushed
+//   serve_burst      k applies vs one batch: median batch apply_ms is lower
+//   serve_churn_rcu  background mutator: updates land, <= 2 generations live
+//   serve_eps        exact vs (1+eps): in bound, median approx qps >= exact
+//   serve_sharded    shards {1, 2, 4}: identical answers, 2x fewer submits
+//   serve_large      10^5-node compact trees: <= 0.6x fat bytes, more resident
 //
 // Scenario axes:
 //   --threads 1,4     comma list of closed-loop worker counts
@@ -52,7 +26,6 @@
 //   --shards K        cache shards            (default 16)
 //   --budget-mb M     cache byte budget       (default 256)
 //   --hot H           size of the hot root set (default 8)
-//   --max-batch B     cap per-flush batcher drain (default 0 = unbounded)
 //   --flaps F         edge flaps in the churn scenario (default 12)
 //   --epsilon E,..    comma list of stretch slacks for the approximate-tier
 //                     scenario (default 0.25); each value adds exact-vs-
@@ -112,7 +85,6 @@ struct Options {
   size_t shards = 16;
   size_t budget_mb = 256;
   size_t hot = 8;
-  size_t max_batch = 0;
   size_t flaps = 12;
   std::vector<double> epsilons{0.25};
   uint64_t seed = 1;
@@ -125,43 +97,11 @@ struct Options {
   bool small = false;
 };
 
-// Observability sinks threaded through every scenario: the metrics rows
-// accumulate one registry snapshot per measured serving stack, the tracer
-// (when --trace-out is given) is shared by every serving-mode server.
-struct ObsSinks {
-  JsonRows* metrics = nullptr;
-  obs::Tracer* tracer = nullptr;
-};
-
-// One registry snapshot -> JSON rows, tagged so the flat per-metric rows can
-// be grouped back into their (bench, family, threads, mode) measurement.
-void dump_registry(const ObsSinks& sinks, obs::MetricsRegistry& registry,
-                   const char* bench, const std::string& family, int threads,
-                   const std::string& mode) {
-  if (!sinks.metrics) return;
-  registry.snapshot().to_json(*sinks.metrics, [&](JsonRows& rows) {
-    rows.field("bench", bench)
-        .field("family", family)
-        .field("threads", threads)
-        .field("mode", mode);
-  });
-}
-
-void dump_metrics(const ObsSinks& sinks, OracleServer& server,
-                  const char* bench, const std::string& family, int threads,
-                  const char* mode) {
-  dump_registry(sinks, server.metrics(), bench, family, threads, mode);
-}
-
-// Closed-loop thread accounting for scenarios whose engine computes
-// CONCURRENTLY with the drivers (serve_large, serve_sharded): --threads T
-// budgets the TOTAL thread footprint of a measurement, split into ceil(T/2)
-// closed-loop drivers and T - drivers engine workers. The earlier serve_large
-// rows spawned T drivers AND a T-thread engine -- a 2x oversubscription that
-// made per-thread scaling claims dishonest. T = 1 keeps a documented
-// 1 driver + 1 engine-worker floor (a BatchSsspEngine needs at least one
-// worker to flush); every affected JSON row records driver_threads and
-// engine_threads so the artifact is explicit about what actually ran.
+// Thread accounting for scenarios whose engine computes CONCURRENTLY with
+// the drivers (serve_large, serve_sharded): --threads T is the TOTAL
+// footprint, ceil(T/2) closed-loop drivers plus the rest as engine workers,
+// with a floor of 1 + 1 (an engine needs a worker to flush). Their rows
+// record driver_threads and engine_threads.
 struct ThreadSplit {
   int drivers;
   int engine;
@@ -173,23 +113,31 @@ ThreadSplit split_threads(int total) {
 }
 
 // Whether the wait-free instruments are live in this build; recorded on
-// every serve row so BENCH_SERVE.json can carry both builds' points
-// side by side (the metrics-overhead acceptance gate compares them).
+// every row so BENCH_SERVE.json can carry both builds' points side by side
+// (the metrics-overhead acceptance gate compares them).
 const char* metrics_build() {
   return obs::kEnabled ? "on" : "compiled_out";
+}
+
+template <typename T, typename Parse>
+std::vector<T> parse_list(const char* v, Parse parse) {
+  std::vector<T> out;
+  for (const char* p = v; *p;) {
+    out.push_back(static_cast<T>(parse(p)));
+    while (*p && *p != ',') ++p;
+    if (*p == ',') ++p;
+  }
+  return out;
 }
 
 Options parse_options(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
-    auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
+    auto value = [&](const char* flag) {
+      return flag_value(argc, argv, i, flag);
+    };
     if (const char* v = value("--threads")) {
-      opt.threads.clear();
-      for (const char* p = v; *p;) {
-        opt.threads.push_back(std::atoi(p));
-        while (*p && *p != ',') ++p;
-        if (*p == ',') ++p;
-      }
+      opt.threads = parse_list<int>(v, std::atoi);
     } else if (const char* v = value("--queries")) {
       opt.queries = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--shards")) {
@@ -198,17 +146,10 @@ Options parse_options(int argc, char** argv) {
       opt.budget_mb = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--hot")) {
       opt.hot = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--max-batch")) {
-      opt.max_batch = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--flaps")) {
       opt.flaps = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--epsilon")) {
-      opt.epsilons.clear();
-      for (const char* p = v; *p;) {
-        opt.epsilons.push_back(std::atof(p));
-        while (*p && *p != ',') ++p;
-        if (*p == ',') ++p;
-      }
+      opt.epsilons = parse_list<double>(v, std::atof);
     } else if (const char* v = value("--seed")) {
       opt.seed = static_cast<uint64_t>(std::atoll(v));
     } else if (const char* v = value("--graph-file")) {
@@ -230,51 +171,265 @@ Options parse_options(int argc, char** argv) {
       std::exit(2);
     }
   }
+  auto require = [](bool ok, const char* message) {
+    if (ok) return;
+    std::cerr << message << "\n";
+    std::exit(2);
+  };
   if (opt.threads.empty()) opt.threads.push_back(1);
-  for (int t : opt.threads) {
-    if (t < 1) {
-      std::cerr << "--threads values must be positive integers\n";
-      std::exit(2);
-    }
-  }
+  for (int t : opt.threads)
+    require(t >= 1, "--threads values must be positive integers");
   if (opt.small) {
     opt.queries = std::min<size_t>(opt.queries, 4000);
     opt.flaps = std::min<size_t>(opt.flaps, 6);
   }
-  if (opt.flaps == 0) {
-    std::cerr << "--flaps must be positive\n";
-    std::exit(2);
-  }
-  for (double e : opt.epsilons) {
-    if (e <= 0.0 || quantize_epsilon(e) == 0) {
-      std::cerr << "--epsilon values must quantize to a positive slack\n";
-      std::exit(2);
-    }
-  }
+  require(opt.flaps > 0, "--flaps must be positive");
+  for (double e : opt.epsilons)
+    require(e > 0.0 && quantize_epsilon(e) > 0,
+            "--epsilon values must quantize to a positive slack");
   return opt;
 }
 
-// One deterministic query in a worker's stream. Mix: mostly distances with
-// occasional fault, some replacement-path queries, a few path extractions.
+// ---------------------------------------------------------------------------
+// The shared driver: every scenario measures through run_closed_loop,
+// summarizes with percentile / rate, checks its samples with verify and
+// opens its JSON rows with Report::row.
+
+// One closed-loop run: wall time, every query's latency (ascending, us)
+// and the sampled (query, answer) pairs in worker order.
+template <typename Q, typename A>
+struct LoopRun {
+  double wall_ms = 0;
+  std::vector<double> latencies;
+  std::vector<double> head_latencies;  // each worker's first `head` queries
+  std::vector<std::pair<Q, A>> samples;
+};
+
+// `threads` workers each issue `per_thread` queries; worker w's i-th query
+// is make(seq) with seq = (phase * threads + w) * per_thread + i, so a
+// scenario's phases never reuse a stream position. Only ask() is timed.
+// Every `sample_every`-th answer of a worker (0 = none) is kept for
+// verify(), which runs after the clock stops: a reference rebuild inside
+// the window would bill its cost to the serving stack. The first `head`
+// latencies of each worker land in head_latencies instead of latencies.
+template <typename Make, typename Ask>
+auto run_closed_loop(int threads, size_t per_thread, Make make, Ask ask,
+                     size_t sample_every, uint64_t phase = 0,
+                     size_t head = 0) {
+  using Q = decltype(make(uint64_t{0}));
+  using A = decltype(ask(std::declval<const Q&>()));
+  std::vector<std::vector<double>> lat(threads);
+  std::vector<std::vector<std::pair<Q, A>>> samples(threads);
+  Stopwatch wall;
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (int w = 0; w < threads; ++w) {
+    workers.emplace_back([&, w] {
+      lat[w].reserve(per_thread);
+      for (size_t i = 0; i < per_thread; ++i) {
+        const Q q = make((phase * threads + w) * per_thread + i);
+        Stopwatch sw;
+        const A got = ask(q);
+        lat[w].push_back(sw.micros());
+        if (sample_every && i % sample_every == 0)
+          samples[w].emplace_back(q, got);
+      }
+    });
+  }
+  for (auto& t : workers) t.join();
+  LoopRun<Q, A> run;
+  run.wall_ms = wall.millis();
+  for (int w = 0; w < threads; ++w) {
+    const auto split = lat[w].begin() + std::min(head, lat[w].size());
+    run.head_latencies.insert(run.head_latencies.end(), lat[w].begin(),
+                              split);
+    run.latencies.insert(run.latencies.end(), split, lat[w].end());
+    run.samples.insert(run.samples.end(), samples[w].begin(),
+                       samples[w].end());
+  }
+  std::sort(run.latencies.begin(), run.latencies.end());
+  std::sort(run.head_latencies.begin(), run.head_latencies.end());
+  return run;
+}
+
+// The pct-th percentile of ascending latencies (0 when there are none).
+double percentile(const std::vector<double>& sorted, size_t pct) {
+  if (sorted.empty()) return 0.0;
+  return sorted[std::min(sorted.size() - 1, sorted.size() * pct / 100)];
+}
+
+// Queries per second of `queries` over `wall_ms`.
+double rate(size_t queries, double wall_ms) {
+  return static_cast<double>(queries) / (wall_ms / 1e3);
+}
+
+// a / (a + b), 0 when both are 0.
+double share(uint64_t a, uint64_t b) {
+  return a + b ? static_cast<double>(a) / static_cast<double>(a + b) : 0.0;
+}
+
+struct Measurement {
+  double qps = 0, p50_us = 0, p99_us = 0;
+};
+
+template <typename Run>
+Measurement measure(const Run& run) {
+  return {rate(run.latencies.size(), run.wall_ms),
+          percentile(run.latencies, 50), percentile(run.latencies, 99)};
+}
+
+// Sampled answers checked against a reference: `correct` counts the
+// samples `ok(query, answer)` accepts.
+struct Check {
+  size_t checked = 0, correct = 0;
+  Check& operator+=(const Check& o) {
+    checked += o.checked;
+    correct += o.correct;
+    return *this;
+  }
+};
+
+template <typename Sample, typename Ok>
+Check verify(const std::vector<Sample>& samples, Ok ok) {
+  Check c;
+  for (const auto& [q, got] : samples) {
+    ++c.checked;
+    if (ok(q, got)) ++c.correct;
+  }
+  return c;
+}
+
+// Comma-joined values, for the rows' per-trial and per-phase fields.
+std::string join(const std::vector<double>& values, const char* fmt) {
+  std::string out;
+  char buf[32];
+  for (const double v : values) {
+    if (!out.empty()) out += ',';
+    std::snprintf(buf, sizeof buf, fmt, v);
+    out += buf;
+  }
+  return out;
+}
+
+// Where every scenario reports: the JSON rows, plus the observability
+// sinks -- the metrics rows get one registry snapshot per measured serving
+// stack, the tracer (when --trace-out is given) is shared by every
+// serving-mode server.
+struct Report {
+  const Options& opt;
+  JsonRows& json;
+  JsonRows* metrics = nullptr;
+  obs::Tracer* tracer = nullptr;
+
+  // Opens a scenario's JSON row with the fields every row shares: its
+  // identity, the build's metrics mode, the host's hardware threads and the
+  // sample check every row is gated on (correct == checked).
+  JsonRows& row(const char* bench, const std::string& family, const Graph& g,
+                int threads, const std::string& mode,
+                const Check& check) const {
+    return json.row()
+        .field("bench", bench)
+        .field("family", family)
+        .field("n", static_cast<uint64_t>(g.num_vertices()))
+        .field("m", static_cast<uint64_t>(g.num_edges()))
+        .field("threads", threads)
+        .field("mode", mode)
+        .field("seed", opt.seed)
+        .field("metrics", metrics_build())
+        .field("hw_threads",
+               static_cast<uint64_t>(std::thread::hardware_concurrency()))
+        .field("checked", check.checked)
+        .field("correct", check.correct);
+  }
+
+  // One registry snapshot -> metrics rows, tagged with the measurement
+  // (bench, family, threads, mode) the flat per-metric rows belong to.
+  void dump(obs::MetricsRegistry& registry, const char* bench,
+            const std::string& family, int threads,
+            const std::string& mode) const {
+    if (!metrics) return;
+    registry.snapshot().to_json(*metrics, [&](JsonRows& rows) {
+      rows.field("bench", bench)
+          .field("family", family)
+          .field("threads", threads)
+          .field("mode", mode);
+    });
+  }
+
+  // The serving stack most scenarios measure: the --shards / --budget-mb
+  // cache, the single-flight batcher, the scenario's engine and the shared
+  // tracer.
+  ServerConfig config(const BatchSsspEngine& engine) const {
+    ServerConfig cfg;
+    cfg.cache.shards = opt.shards;
+    cfg.cache.byte_budget = opt.budget_mb << 20;
+    cfg.engine = &engine;
+    cfg.tracer = tracer;
+    return cfg;
+  }
+};
+
+// `hot` roots spread evenly over the vertex ids.
+std::vector<Vertex> spread_roots(const Graph& g, size_t hot) {
+  std::vector<Vertex> roots;
+  for (size_t i = 0; i < hot; ++i)
+    roots.push_back(static_cast<Vertex>(
+        (static_cast<uint64_t>(i) * g.num_vertices()) / hot));
+  return roots;
+}
+
+// A uniformly drawn parent edge of `tree`: a flap victim guaranteed to
+// invalidate it. One draw from the tree's parented vertices, so it stays
+// O(1) draws where a rejection loop would degenerate (most of the graph
+// unreachable from the root).
+EdgeId random_tree_edge(const Spt& tree, Rng& rng) {
+  std::vector<Vertex> parented;
+  for (Vertex v = 0; v < tree.num_vertices(); ++v)
+    if (tree.parent(v) != kNoVertex) parented.push_back(v);
+  return tree.parent_edge(parented[rng.next_below(parented.size())]);
+}
+
+// Trial count of the scenarios whose CI gate compares two timings
+// (serve_eps, serve_burst): the modes run interleaved this many times and
+// the gate reads the medians.
+constexpr size_t kTrials = 3;
+
+// Index of the median of kTrials values.
+size_t median_index(const std::vector<double>& v) {
+  std::vector<size_t> idx(v.size());
+  for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  std::sort(idx.begin(), idx.end(),
+            [&](size_t a, size_t b) { return v[a] < v[b]; });
+  return idx[idx.size() / 2];
+}
+
+// ---------------------------------------------------------------------------
+// The (s, t, F) queries most scenarios ask.
 struct Query {
   enum Kind { kDistance, kFaultDistance, kReplacement, kPath } kind;
   Vertex s, t;
   EdgeId e;
 };
 
-Query make_query(const Graph& g, std::span<const Vertex> hot_roots,
-                 uint64_t seed, uint64_t seq) {
-  const uint64_t h = hash_combine(hash_combine(0x5e7e5e7e, seed), seq);
-  Query q;
-  q.s = hot_roots[h % hot_roots.size()];
-  q.t = static_cast<Vertex>(hash_combine(h, 1) % g.num_vertices());
-  q.e = static_cast<EdgeId>(hash_combine(h, 2) % g.num_edges());
-  const uint64_t kind = hash_combine(h, 3) % 10;
-  q.kind = kind < 6   ? Query::kDistance
-           : kind < 7 ? Query::kFaultDistance
-           : kind < 9 ? Query::kReplacement
-                      : Query::kPath;
-  return q;
+// The mixed stream most scenarios share, as a run_closed_loop make(): mostly
+// distances with occasional fault, some replacement-path queries, a few
+// path extractions, sources on the hot root set. It reads only g's vertex
+// and edge-slot counts, which updates never change (tombstones keep both).
+auto mixed_queries(const Graph& g, const std::vector<Vertex>& hot_roots,
+                   uint64_t seed) {
+  return [&g, &hot_roots, seed](uint64_t seq) {
+    const uint64_t h = hash_combine(hash_combine(0x5e7e5e7e, seed), seq);
+    Query q;
+    q.s = hot_roots[h % hot_roots.size()];
+    q.t = static_cast<Vertex>(hash_combine(h, 1) % g.num_vertices());
+    q.e = static_cast<EdgeId>(hash_combine(h, 2) % g.num_edges());
+    const uint64_t kind = hash_combine(h, 3) % 10;
+    q.kind = kind < 6   ? Query::kDistance
+             : kind < 7 ? Query::kFaultDistance
+             : kind < 9 ? Query::kReplacement
+                        : Query::kPath;
+    return q;
+  };
 }
 
 int32_t run_query(OracleServer& server, const Query& q) {
@@ -296,7 +451,6 @@ int32_t reference_answer(const IRpts& pi, const Query& q) {
     case Query::kDistance:
       return pi.distance(q.s, q.t);
     case Query::kFaultDistance:
-      return pi.distance(q.s, q.t, FaultSet{q.e});
     case Query::kReplacement:
       return pi.distance(q.s, q.t, FaultSet{q.e});
     case Query::kPath:
@@ -305,138 +459,60 @@ int32_t reference_answer(const IRpts& pi, const Query& q) {
   return kUnreachable;
 }
 
+// The ask() of a Query stream against `server`.
+auto asker(OracleServer& server) {
+  return [&server](const Query& q) { return run_query(server, q); };
+}
+
+// The verify() predicate of exact answers: `ref` is a from-scratch scheme
+// over the topology the samples were served on.
+auto matches(const IRpts& ref) {
+  return [&ref](const Query& q, int32_t got) {
+    return got == reference_answer(ref, q);
+  };
+}
+
 // ---------------------------------------------------------------------------
-// Workload samplers. Drivers must measure the serving stack, not themselves:
-// any per-sample work that grows with n (rejection loops whose acceptance
-// probability shrinks, probe SSSPs) is precomputed into flat prefix arrays up
-// front, and the precompute wall time is reported separately (gen_ms) so
-// large-n rows stay honest about what the driver cost.
-
-// Prefix array of a tree's vertices that have a parent edge: flap-victim
-// draws become one O(1) index instead of a rejection loop that degenerates
-// when most of the graph is unreachable from the root.
-std::vector<Vertex> parented_vertices(const Spt& tree) {
-  std::vector<Vertex> out;
-  out.reserve(tree.num_vertices());
-  for (Vertex v = 0; v < tree.num_vertices(); ++v)
-    if (tree.parent(v) != kNoVertex) out.push_back(v);
-  return out;
-}
-
-struct Measurement {
-  double qps = 0;
-  double p50_us = 0;
-  double p99_us = 0;
-  double wall_ms = 0;
-  size_t checked = 0;
-  size_t correct = 0;
-};
-
-Measurement drive(OracleServer& server, const IRpts& pi, const Graph& g,
-                  std::span<const Vertex> hot_roots, int threads,
-                  size_t queries, uint64_t seed) {
-  Measurement m;
-  const size_t per_thread = queries / threads;
-  std::vector<std::vector<double>> latencies(threads);
-  // Answers sampled inside the loop, verified AFTER the clock stops -- a
-  // reference Dijkstra inside the measurement window would bill its cost to
-  // the serving stack and deflate qps.
-  std::vector<std::vector<std::pair<Query, int32_t>>> samples(threads);
-
-  Stopwatch wall;
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (int w = 0; w < threads; ++w) {
-    workers.emplace_back([&, w] {
-      auto& lat = latencies[w];
-      lat.reserve(per_thread);
-      for (size_t i = 0; i < per_thread; ++i) {
-        const Query q = make_query(
-            g, hot_roots, seed, static_cast<uint64_t>(w) * per_thread + i);
-        Stopwatch sw;
-        const int32_t got = run_query(server, q);
-        lat.push_back(sw.micros());
-        if (i % 64 == 0) samples[w].emplace_back(q, got);
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-  m.wall_ms = wall.millis();
-
-  // Spot-check ~1/64 of answers against the scheme computed directly.
-  for (const auto& per_worker : samples) {
-    for (const auto& [q, got] : per_worker) {
-      ++m.checked;
-      if (got == reference_answer(pi, q)) ++m.correct;
-    }
-  }
-
-  std::vector<double> all;
-  for (auto& lat : latencies) all.insert(all.end(), lat.begin(), lat.end());
-  std::sort(all.begin(), all.end());
-  if (!all.empty()) {
-    m.p50_us = all[all.size() / 2];
-    m.p99_us = all[std::min(all.size() - 1, all.size() * 99 / 100)];
-  }
-  m.qps = static_cast<double>(all.size()) / (m.wall_ms / 1e3);
-  return m;
-}
-
-void bench_family(Table& table, JsonRows& json, const Options& opt,
-                  const ObsSinks& sinks, const std::string& family,
-                  const Graph& g) {
+// serve: cache-off (every fetch computes a fresh tree on the engine, no
+// coalescing -- what every query cost before src/serve/ existed) versus the
+// serving stack (sharded cache + single-flight batcher), same stream.
+void bench_family(Table& table, const Options& opt, const Report& out,
+                  const std::string& family, const Graph& g) {
   const IsolationRpts pi(g, IsolationAtw(7));
-  std::vector<Vertex> hot_roots;
-  for (size_t i = 0; i < opt.hot; ++i)
-    hot_roots.push_back(static_cast<Vertex>(
-        (static_cast<uint64_t>(i) * g.num_vertices()) / opt.hot));
+  const std::vector<Vertex> hot_roots = spread_roots(g, opt.hot);
+  const auto make = mixed_queries(g, hot_roots, opt.seed);
 
   for (int threads : opt.threads) {
     const BatchSsspEngine engine(threads);
-
-    // Baseline: every fetch recomputes (no cache, no coalescing).
+    const size_t per_thread = opt.queries / threads;
     ServerConfig off_cfg;
     off_cfg.enable_cache = false;
     off_cfg.enable_coalescing = false;
     off_cfg.engine = &engine;
     OracleServer off(pi, off_cfg);
-    const Measurement moff =
-        drive(off, pi, g, hot_roots, threads, opt.queries, opt.seed);
+    const auto roff =
+        run_closed_loop(threads, per_thread, make, asker(off), 64);
+    OracleServer on(pi, out.config(engine));
+    const auto ron = run_closed_loop(threads, per_thread, make, asker(on), 64);
+    out.dump(off.metrics(), "serve", family, threads, "cache_off");
+    out.dump(on.metrics(), "serve", family, threads, "cache_on");
 
-    // Serving stack: sharded cache + single-flight batcher.
-    ServerConfig on_cfg;
-    on_cfg.cache.shards = opt.shards;
-    on_cfg.cache.byte_budget = opt.budget_mb << 20;
-    on_cfg.max_batch = opt.max_batch;
-    on_cfg.engine = &engine;
-    on_cfg.tracer = sinks.tracer;
-    OracleServer on(pi, on_cfg);
-    const Measurement mon =
-        drive(on, pi, g, hot_roots, threads, opt.queries, opt.seed);
-    dump_metrics(sinks, off, "serve", family, threads, "cache_off");
-    dump_metrics(sinks, on, "serve", family, threads, "cache_on");
-
+    const Measurement moff = measure(roff), mon = measure(ron);
     const auto cache_stats = on.cache()->stats();
     const auto batch_stats = on.batcher()->stats();
-    // Outcome classes + latency decomposition, composed from ONE registry
-    // snapshot (OracleServer::stats()); per-class splits and histograms
-    // live in the --metrics-out document.
+    // Outcome classes + latency decomposition from ONE registry snapshot;
+    // per-class splits and histograms live in the --metrics-out document.
     const ServerStats sstats = on.stats();
     const double speedup = mon.qps / moff.qps;
-    // Bytes of tree freshly materialized per query: the zero-copy handle
-    // path makes this collapse on repeated-root workloads (hits alias the
-    // resident tree instead of copying it).
-    const double on_bytes_per_query =
-        static_cast<double>(on.bytes_materialized()) /
-        static_cast<double>(std::max<uint64_t>(1, on.queries_served()));
-    const double off_bytes_per_query =
-        static_cast<double>(off.bytes_materialized()) /
-        static_cast<double>(std::max<uint64_t>(1, off.queries_served()));
-    std::string batch_hist;
-    for (size_t b = 0; b < CoalescingBatcher::kHistBuckets; ++b) {
-      if (b) batch_hist += ',';
-      batch_hist += std::to_string(batch_stats.batch_hist[b]);
-    }
+    // Bytes of tree freshly materialized per query: it collapses on
+    // repeated roots, where hits alias the resident tree zero-copy.
+    auto bytes_per_query = [](const OracleServer& s) {
+      return static_cast<double>(s.bytes_materialized()) /
+             static_cast<double>(std::max<uint64_t>(1, s.queries_served()));
+    };
+    const std::vector<double> hist(
+        batch_stats.batch_hist,
+        batch_stats.batch_hist + CoalescingBatcher::kHistBuckets);
 
     table.add_row(family, g.num_vertices(), g.num_edges(), threads, "off",
                   moff.qps, moff.p50_us, moff.p99_us, 0.0, 1.0);
@@ -444,68 +520,42 @@ void bench_family(Table& table, JsonRows& json, const Options& opt,
                   mon.qps, mon.p50_us, mon.p99_us, cache_stats.hit_rate(),
                   speedup);
 
-    json.row()
-        .field("bench", "serve")
-        .field("family", family)
-        .field("n", static_cast<uint64_t>(g.num_vertices()))
-        .field("m", static_cast<uint64_t>(g.num_edges()))
-        .field("threads", threads)
-        .field("shards", static_cast<uint64_t>(opt.shards))
-        .field("budget_mb", static_cast<uint64_t>(opt.budget_mb))
-        .field("hot_roots", static_cast<uint64_t>(hot_roots.size()))
-        .field("queries", static_cast<uint64_t>(opt.queries))
-        .field("seed", opt.seed)
-        .field("mode", "cache_off")
-        .field("metrics", metrics_build())
-        .field("qps", moff.qps)
-        .field("p50_us", moff.p50_us)
-        .field("p99_us", moff.p99_us)
+    auto row = [&](const char* mode, const Measurement& m, const auto& run,
+                   const IRpts& ref) -> JsonRows& {
+      const Check check = verify(run.samples, matches(ref));
+      return out.row("serve", family, g, threads, mode, check)
+          .field("shards", opt.shards)
+          .field("budget_mb", opt.budget_mb)
+          .field("hot_roots", hot_roots.size())
+          .field("queries", opt.queries)
+          .field("qps", m.qps)
+          .field("p50_us", m.p50_us)
+          .field("p99_us", m.p99_us);
+    };
+    row("cache_off", moff, roff, pi)
         .field("hit_rate", 0.0)
         .field("speedup_vs_off", 1.0)
-        .field("bytes_per_query", off_bytes_per_query)
-        .field("checked", static_cast<uint64_t>(moff.checked))
-        .field("correct", static_cast<uint64_t>(moff.correct))
-        .field("hw_threads",
-               static_cast<uint64_t>(std::thread::hardware_concurrency()));
-    json.row()
-        .field("bench", "serve")
-        .field("family", family)
-        .field("n", static_cast<uint64_t>(g.num_vertices()))
-        .field("m", static_cast<uint64_t>(g.num_edges()))
-        .field("threads", threads)
-        .field("shards", static_cast<uint64_t>(opt.shards))
-        .field("budget_mb", static_cast<uint64_t>(opt.budget_mb))
-        .field("hot_roots", static_cast<uint64_t>(hot_roots.size()))
-        .field("queries", static_cast<uint64_t>(opt.queries))
-        .field("seed", opt.seed)
-        .field("mode", "cache_on")
-        .field("metrics", metrics_build())
-        .field("qps", mon.qps)
-        .field("p50_us", mon.p50_us)
-        .field("p99_us", mon.p99_us)
+        .field("bytes_per_query", bytes_per_query(off));
+    row("cache_on", mon, ron, pi)
         .field("hit_rate", cache_stats.hit_rate())
         .field("base_hit_rate", cache_stats.base_hit_rate())
         .field("speedup_vs_off", speedup)
-        .field("bytes_per_query", on_bytes_per_query)
+        .field("bytes_per_query", bytes_per_query(on))
         .field("cache_hits", cache_stats.hits)
         .field("cache_misses", cache_stats.misses)
-        .field("cache_entries", static_cast<uint64_t>(cache_stats.entries))
-        .field("cache_bytes", static_cast<uint64_t>(cache_stats.bytes))
-        .field("cache_sum_shard_peak_bytes",
-               static_cast<uint64_t>(cache_stats.sum_shard_peak_bytes))
-        .field("protected_bytes",
-               static_cast<uint64_t>(cache_stats.protected_bytes))
-        .field("protected_entries",
-               static_cast<uint64_t>(cache_stats.protected_entries))
+        .field("cache_entries", cache_stats.entries)
+        .field("cache_bytes", cache_stats.bytes)
+        .field("cache_sum_shard_peak_bytes", cache_stats.sum_shard_peak_bytes)
+        .field("protected_bytes", cache_stats.protected_bytes)
+        .field("protected_entries", cache_stats.protected_entries)
         .field("evictions", cache_stats.evictions)
         .field("coalesced", batch_stats.coalesced)
         .field("computed", batch_stats.computed)
         .field("computed_bytes", batch_stats.computed_bytes)
         .field("flushes", batch_stats.flushes)
         .field("max_batch", batch_stats.max_batch)
-        .field("max_batch_cap", static_cast<uint64_t>(opt.max_batch))
         .field("max_queue_depth", batch_stats.max_queue_depth)
-        .field("batch_hist", batch_hist)
+        .field("batch_hist", join(hist, "%.0f"))
         .field("base_hit", sstats.base_hit)
         .field("fault_hit", sstats.fault_hit)
         .field("miss_coalesced", sstats.miss_coalesced)
@@ -517,206 +567,128 @@ void bench_family(Table& table, JsonRows& json, const Options& opt,
         .field("repair_ms", static_cast<double>(sstats.repair_ns) / 1e6)
         .field("repaired", sstats.repaired)
         .field("recomputed", sstats.recomputed)
-        .field("stability_fast_paths", on.stability_fast_paths())
-        .field("checked", static_cast<uint64_t>(mon.checked))
-        .field("correct", static_cast<uint64_t>(mon.correct))
-        .field("hw_threads",
-               static_cast<uint64_t>(std::thread::hardware_concurrency()));
+        .field("stability_fast_paths", on.stability_fast_paths());
   }
 }
 
-// Admission-policy scenario: a closed-loop mix of hot base-tree queries and
-// a sweeping fault-tree scan (every fault key distinct, so each one computes
-// and inserts a fresh fault tree) against a budget sized to hold the hot
-// base trees plus only a handful of fault trees. Flat LRU lets the scan
-// churn the base trees out; segmented admission confines the scan to the
-// probationary segment. One JSON row per (threads, admission) pair.
-void bench_fault_scan(Table& scan_table, JsonRows& json, const Options& opt,
-                      const ObsSinks& sinks, const std::string& family,
-                      const Graph& g) {
+// serve_scan: a closed-loop mix of hot base-tree queries and a sweeping
+// fault-tree scan (every fault key distinct, so each one computes and
+// inserts a fresh fault tree) against a budget sized to hold the hot base
+// trees plus only a handful of fault trees. Flat LRU lets the scan churn
+// the base trees out; segmented admission confines the scan to the
+// probationary segment. One row per (threads, admission) pair.
+void bench_fault_scan(Table& table, const Options& opt, const Report& out,
+                      const std::string& family, const Graph& g) {
   const IsolationRpts pi(g, IsolationAtw(7));
-  std::vector<Vertex> hot_roots;
-  for (size_t i = 0; i < opt.hot; ++i)
-    hot_roots.push_back(static_cast<Vertex>(
-        (static_cast<uint64_t>(i) * g.num_vertices()) / opt.hot));
+  const std::vector<Vertex> hot_roots = spread_roots(g, opt.hot);
   const size_t probe_bytes = pi.spt(hot_roots[0]).memory_bytes();
   // Hot base trees + ~8 fault trees of headroom, in one shard so the
   // eviction pressure is undiluted.
   const size_t budget = (opt.hot + 8) * (probe_bytes + 1024);
+  auto make = [&](uint64_t seq) {
+    const uint64_t h = hash_combine(hash_combine(0x5ca9, opt.seed), seq);
+    Query q;
+    q.s = hot_roots[h % hot_roots.size()];
+    q.t = static_cast<Vertex>(hash_combine(h, 1) % g.num_vertices());
+    // Every other query scans a fresh fault; the rest read the hot base
+    // trees the policy is supposed to protect.
+    if (seq % 2 == 0) {
+      q.kind = Query::kDistance;
+      q.e = 0;
+    } else {
+      q.kind = Query::kFaultDistance;
+      q.e = static_cast<EdgeId>(seq / 2 % g.num_edges());
+    }
+    return q;
+  };
 
   for (int threads : opt.threads) {
     const BatchSsspEngine engine(threads);
     for (const double fraction : {0.0, 0.5}) {
-      ServerConfig cfg;
+      ServerConfig cfg = out.config(engine);
       cfg.cache.shards = 1;
       cfg.cache.byte_budget = budget;
       cfg.cache.protected_fraction = fraction;
-      cfg.max_batch = opt.max_batch;
-      cfg.engine = &engine;
-      cfg.tracer = sinks.tracer;
       OracleServer server(pi, cfg);
-
-      const size_t per_thread = opt.queries / threads;
-      std::vector<std::vector<std::pair<Query, int32_t>>> samples(threads);
-      Stopwatch wall;
-      std::vector<std::thread> workers;
-      workers.reserve(threads);
-      for (int w = 0; w < threads; ++w) {
-        workers.emplace_back([&, w] {
-          for (size_t i = 0; i < per_thread; ++i) {
-            const uint64_t seq = static_cast<uint64_t>(w) * per_thread + i;
-            const uint64_t h = hash_combine(hash_combine(0x5ca9, opt.seed), seq);
-            Query q;
-            q.s = hot_roots[h % hot_roots.size()];
-            q.t = static_cast<Vertex>(hash_combine(h, 1) % g.num_vertices());
-            // Every other query scans a fresh fault; the rest read the hot
-            // base trees the policy is supposed to protect.
-            if (seq % 2 == 0) {
-              q.kind = Query::kDistance;
-              q.e = 0;
-            } else {
-              q.kind = Query::kFaultDistance;
-              q.e = static_cast<EdgeId>(seq / 2 % g.num_edges());
-            }
-            const int32_t got = run_query(server, q);
-            if (i % 64 == 0) samples[w].emplace_back(q, got);
-          }
-        });
-      }
-      for (auto& t : workers) t.join();
-      const double wall_ms = wall.millis();
-
-      size_t checked = 0, correct = 0;
-      for (const auto& per_worker : samples)
-        for (const auto& [q, got] : per_worker) {
-          ++checked;
-          if (got == reference_answer(pi, q)) ++correct;
-        }
+      const auto run = run_closed_loop(threads, opt.queries / threads, make,
+                                       asker(server), 64);
+      const Check check = verify(run.samples, matches(pi));
 
       const auto stats = server.cache()->stats();
-      const double qps = static_cast<double>(per_thread) * threads /
-                         (wall_ms / 1e3);
+      const double qps = rate(run.latencies.size(), run.wall_ms);
       const char* mode = fraction > 0 ? "scan_segmented" : "scan_flat";
-      dump_metrics(sinks, server, "serve_scan", family, threads, mode);
-      scan_table.add_row(family, threads, mode, qps, stats.hit_rate(),
-                         stats.base_hit_rate(), stats.evictions);
-      json.row()
-          .field("bench", "serve_scan")
-          .field("family", family)
-          .field("n", static_cast<uint64_t>(g.num_vertices()))
-          .field("m", static_cast<uint64_t>(g.num_edges()))
-          .field("threads", threads)
-          .field("mode", mode)
+      out.dump(server.metrics(), "serve_scan", family, threads, mode);
+      table.add_row(family, threads, mode, qps, stats.hit_rate(),
+                    stats.base_hit_rate(), stats.evictions);
+      out.row("serve_scan", family, g, threads, mode, check)
           .field("protected_fraction", fraction)
-          .field("budget_bytes", static_cast<uint64_t>(budget))
-          .field("queries", static_cast<uint64_t>(per_thread * threads))
-          .field("seed", opt.seed)
+          .field("budget_bytes", budget)
+          .field("queries", run.latencies.size())
           .field("qps", qps)
           .field("hit_rate", stats.hit_rate())
           .field("base_hit_rate", stats.base_hit_rate())
           .field("base_hits", stats.base_hits)
           .field("base_misses", stats.base_misses)
           .field("evictions", stats.evictions)
-          .field("cache_sum_shard_peak_bytes", static_cast<uint64_t>(stats.sum_shard_peak_bytes))
-          .field("protected_bytes",
-                 static_cast<uint64_t>(stats.protected_bytes))
-          .field("checked", static_cast<uint64_t>(checked))
-          .field("correct", static_cast<uint64_t>(correct))
-          .field("hw_threads",
-                 static_cast<uint64_t>(std::thread::hardware_concurrency()));
+          .field("cache_sum_shard_peak_bytes", stats.sum_shard_peak_bytes)
+          .field("protected_bytes", stats.protected_bytes);
     }
   }
 }
 
-// Dynamic-update scenario: phases of closed-loop queries interleaved with
-// seeded edge flaps through OracleServer::apply_update. Every other flap
-// removes an edge off a hot root's current tree (guaranteed to invalidate
-// that root), the rest remove a uniformly random present edge; each removal
-// is healed by re-inserting the same endpoints (tombstone resurrection, so
-// labels -- and therefore tiebreak weights -- are stable). Reported: carried
-// vs invalidated tree counts, apply_update latency, recovery-vs-steady query
+// serve_churn: phases of closed-loop queries interleaved with seeded edge
+// flaps through OracleServer::apply_update. Every other flap removes an
+// edge off a hot root's current tree (guaranteed to invalidate that root),
+// the rest remove a uniformly random present edge; each removal is healed
+// by re-inserting the same endpoints (tombstone resurrection, so labels --
+// and therefore tiebreak weights -- are stable). Reported: carried vs
+// invalidated tree counts, apply_update latency, recovery-vs-steady query
 // latency, the per-phase hit-rate trajectory, and sampled answers verified
 // against a from-scratch rebuild of each phase's exact topology.
-void bench_churn(Table& churn_table, JsonRows& json, const Options& opt,
-                 const ObsSinks& sinks, const std::string& family,
-                 const Graph& g0) {
+void bench_churn(Table& table, const Options& opt, const Report& out,
+                 const std::string& family, const Graph& g0) {
   for (int threads : opt.threads) {
     Graph g = g0;  // the mutable working copy this scheme serves
     const IsolationRpts pi(g, IsolationAtw(7));
     const BatchSsspEngine engine(threads);
-    ServerConfig cfg;
-    cfg.cache.shards = opt.shards;
-    cfg.cache.byte_budget = opt.budget_mb << 20;
-    cfg.max_batch = opt.max_batch;
-    cfg.engine = &engine;
-    cfg.tracer = sinks.tracer;
-    OracleServer server(pi, cfg);
-
-    std::vector<Vertex> hot_roots;
-    for (size_t i = 0; i < opt.hot; ++i)
-      hot_roots.push_back(static_cast<Vertex>(
-          (static_cast<uint64_t>(i) * g.num_vertices()) / opt.hot));
+    OracleServer server(pi, out.config(engine));
+    const std::vector<Vertex> hot_roots = spread_roots(g, opt.hot);
+    const auto make = mixed_queries(g, hot_roots, opt.seed);
 
     const size_t phases = opt.flaps + 1;
     const size_t per_thread = std::max<size_t>(
         1, opt.queries / phases / static_cast<size_t>(threads));
     Rng flap_rng(hash_combine(opt.seed, 0xf1a9));
 
-    struct Sample {
-      size_t phase;
-      Query q;
-      int32_t got;
-    };
-    std::vector<Graph> snapshots;  // topology per phase, for verification
-    std::vector<std::vector<Sample>> samples(threads);
+    Check check;
     std::vector<double> recovery_lat, steady_lat;
     double query_wall_ms = 0, apply_ms = 0;
     size_t carried = 0, invalidated = 0, purged = 0, prewarmed = 0;
-    std::string trajectory;
+    std::vector<double> trajectory;
     uint64_t last_hits = 0, last_misses = 0;
     EdgeId flapped = kNoEdge;  // currently-removed edge awaiting re-insert
     Vertex fu = 0, fv = 0;
     size_t removals = 0;
 
     for (size_t phase = 0; phase < phases; ++phase) {
-      snapshots.push_back(g);
-      std::vector<std::vector<double>> rec(threads), steady(threads);
-      Stopwatch wall;
-      std::vector<std::thread> workers;
-      workers.reserve(threads);
-      for (int w = 0; w < threads; ++w) {
-        workers.emplace_back([&, w, phase] {
-          for (size_t i = 0; i < per_thread; ++i) {
-            const uint64_t seq =
-                (static_cast<uint64_t>(phase) * threads + w) * per_thread + i;
-            const Query q = make_query(g, hot_roots, opt.seed, seq);
-            Stopwatch sw;
-            const int32_t got = run_query(server, q);
-            // The first queries of a post-flap phase pay the recovery cost
-            // (whatever pre-warming left cold); the rest are steady state.
-            ((phase > 0 && i < 8) ? rec : steady)[w].push_back(sw.micros());
-            if (i % 32 == 0) samples[w].push_back({phase, q, got});
-          }
-        });
-      }
-      for (auto& t : workers) t.join();
-      query_wall_ms += wall.millis();
-      for (int w = 0; w < threads; ++w) {
-        recovery_lat.insert(recovery_lat.end(), rec[w].begin(), rec[w].end());
-        steady_lat.insert(steady_lat.end(), steady[w].begin(),
-                          steady[w].end());
-      }
+      // The first queries of a post-flap phase pay the recovery cost
+      // (whatever pre-warming left cold); the rest are steady state.
+      const auto run =
+          run_closed_loop(threads, per_thread, make, asker(server), 32, phase,
+                          phase > 0 ? 8 : 0);
+      // Verified against a from-scratch rebuild of this phase's topology
+      // (same policy seed => same scheme), outside the measurement window.
+      check += verify(run.samples, matches(IsolationRpts(g, IsolationAtw(7))));
+      query_wall_ms += run.wall_ms;
+      recovery_lat.insert(recovery_lat.end(), run.head_latencies.begin(),
+                          run.head_latencies.end());
+      steady_lat.insert(steady_lat.end(), run.latencies.begin(),
+                        run.latencies.end());
       const auto cs = server.cache()->stats();
       const uint64_t ph = cs.hits - last_hits, pm = cs.misses - last_misses;
       last_hits = cs.hits;
       last_misses = cs.misses;
-      if (phase) trajectory += ',';
-      char buf[16];
-      std::snprintf(buf, sizeof buf, "%.4f",
-                    ph + pm ? static_cast<double>(ph) /
-                                  static_cast<double>(ph + pm)
-                            : 0.0);
-      trajectory += buf;
+      trajectory.push_back(share(ph, pm));
 
       if (phase + 1 == phases) break;
       // The flap. Removals alternate hot-tree edges (provably affecting the
@@ -726,10 +698,8 @@ void bench_churn(Table& churn_table, JsonRows& json, const Options& opt,
         d = GraphDelta::insert(fu, fv);
       } else if (removals++ % 2 == 0) {
         const Vertex h = hot_roots[flap_rng.next_below(hot_roots.size())];
-        const auto tree = server.tree({h, {}, Direction::kOut});
-        const auto pool = parented_vertices(*tree);
-        const Vertex x = pool[flap_rng.next_below(pool.size())];
-        d = GraphDelta::remove(tree->parent_edge(x));
+        d = GraphDelta::remove(
+            random_tree_edge(*server.tree({h, {}, Direction::kOut}), flap_rng));
       } else {
         EdgeId e = static_cast<EdgeId>(flap_rng.next_below(g.num_edges()));
         while (!g.edge_present(e))
@@ -752,347 +722,214 @@ void bench_churn(Table& churn_table, JsonRows& json, const Options& opt,
       }
     }
 
-    // Verify the sampled answers against a from-scratch rebuild of each
-    // phase's exact topology (same policy seed => same scheme), outside the
-    // measurement window.
-    size_t checked = 0, correct = 0;
-    for (size_t phase = 0; phase < phases; ++phase) {
-      const IsolationRpts ref(snapshots[phase], IsolationAtw(7));
-      for (const auto& per_worker : samples)
-        for (const Sample& s : per_worker) {
-          if (s.phase != phase) continue;
-          ++checked;
-          if (s.got == reference_answer(ref, s.q)) ++correct;
-        }
-    }
-
-    auto percentile = [](std::vector<double>& v, size_t num, size_t den) {
-      if (v.empty()) return 0.0;
-      std::sort(v.begin(), v.end());
-      return v[std::min(v.size() - 1, v.size() * num / den)];
-    };
+    std::sort(recovery_lat.begin(), recovery_lat.end());
+    std::sort(steady_lat.begin(), steady_lat.end());
     const size_t total_queries =
         per_thread * static_cast<size_t>(threads) * phases;
-    const double qps =
-        static_cast<double>(total_queries) / (query_wall_ms / 1e3);
-    const double carried_fraction =
-        carried + invalidated
-            ? static_cast<double>(carried) /
-                  static_cast<double>(carried + invalidated)
-            : 0.0;
+    const double qps = rate(total_queries, query_wall_ms);
+    const double carried_fraction = share(carried, invalidated);
     const auto cache_stats = server.cache()->stats();
     const ServerStats sstats = server.stats();
-    dump_metrics(sinks, server, "serve_churn", family, threads, "churn");
+    out.dump(server.metrics(), "serve_churn", family, threads, "churn");
 
-    churn_table.add_row(family, threads, qps, carried, invalidated,
-                        carried_fraction, apply_ms / opt.flaps,
-                        cache_stats.hit_rate());
-    json.row()
-        .field("bench", "serve_churn")
-        .field("family", family)
-        .field("n", static_cast<uint64_t>(g.num_vertices()))
-        .field("m", static_cast<uint64_t>(g.num_edges()))
-        .field("threads", threads)
-        .field("mode", "churn")
-        .field("seed", opt.seed)
-        .field("flaps", static_cast<uint64_t>(opt.flaps))
-        .field("queries", static_cast<uint64_t>(total_queries))
+    table.add_row(family, threads, qps, carried, invalidated, carried_fraction,
+                  apply_ms / opt.flaps, cache_stats.hit_rate());
+    out.row("serve_churn", family, g0, threads, "churn", check)
+        .field("flaps", opt.flaps)
+        .field("queries", total_queries)
         .field("qps", qps)
-        .field("steady_p50_us", percentile(steady_lat, 1, 2))
-        .field("steady_p99_us", percentile(steady_lat, 99, 100))
-        .field("recovery_p50_us", percentile(recovery_lat, 1, 2))
-        .field("recovery_p99_us", percentile(recovery_lat, 99, 100))
+        .field("steady_p50_us", percentile(steady_lat, 50))
+        .field("steady_p99_us", percentile(steady_lat, 99))
+        .field("recovery_p50_us", percentile(recovery_lat, 50))
+        .field("recovery_p99_us", percentile(recovery_lat, 99))
         .field("apply_ms_avg", apply_ms / opt.flaps)
         .field("repair_ms", static_cast<double>(sstats.repair_ns) / 1e6)
         .field("repaired", sstats.repaired)
         .field("recomputed", sstats.recomputed)
-        .field("carried_total", static_cast<uint64_t>(carried))
-        .field("invalidated_total", static_cast<uint64_t>(invalidated))
-        .field("purged_stale_total", static_cast<uint64_t>(purged))
-        .field("prewarmed_total", static_cast<uint64_t>(prewarmed))
+        .field("carried_total", carried)
+        .field("invalidated_total", invalidated)
+        .field("purged_stale_total", purged)
+        .field("prewarmed_total", prewarmed)
         .field("carried_fraction", carried_fraction)
         .field("updates_applied", server.updates_applied())
         .field("hit_rate", cache_stats.hit_rate())
-        .field("hit_rate_trajectory", trajectory)
-        .field("cache_entries", static_cast<uint64_t>(cache_stats.entries))
+        .field("hit_rate_trajectory", join(trajectory, "%.4f"))
+        .field("cache_entries", cache_stats.entries)
         .field("cache_carried_forward", cache_stats.carried_forward)
         .field("cache_invalidated", cache_stats.invalidated)
-        .field("cache_sum_shard_peak_bytes",
-               static_cast<uint64_t>(cache_stats.sum_shard_peak_bytes))
-        .field("checked", static_cast<uint64_t>(checked))
-        .field("correct", static_cast<uint64_t>(correct))
-        .field("hw_threads",
-               static_cast<uint64_t>(std::thread::hardware_concurrency()));
+        .field("cache_sum_shard_peak_bytes", cache_stats.sum_shard_peak_bytes);
   }
 }
 
-// Burst-update scenario: the SAME k edge removals applied as k single-delta
+// serve_burst: the SAME k edge removals applied as k single-delta
 // apply_update calls versus ONE apply_updates batch, against identically
 // warmed servers. The single path pays k cache walks, k epoch bumps (CSR
-// rebuilds) and k repair batches where the burst pays one of each, and the
-// burst repairs non-survivors incrementally from their old trees. Reported
-// per (family, threads, mode) row: apply_ms for the removal burst, heal_ms
-// for the re-insert burst, carried / invalidated / repaired / recomputed
-// tree counts, post-update recovery latency, and sampled answers verified
-// against a from-scratch rebuild of the mutated topology. The CI bench-smoke
-// job asserts burst apply_ms < the k single-flap applies and that every
-// sampled answer matched the rebuild.
-void bench_burst(Table& burst_table, JsonRows& json, const Options& opt,
-                 const ObsSinks& sinks, const std::string& family,
-                 const Graph& g0) {
+// rebuilds) and k repair batches where the burst pays one of each. Both
+// modes run kTrials times interleaved; every field but the checks (all
+// trials) is the median trial's by apply_ms.
+void bench_burst(Table& table, const Options& opt, const Report& out,
+                 const std::string& family, const Graph& g0) {
   const size_t k = opt.flaps;
   // Victim edges chosen once on the pristine topology so both modes apply
   // identical deltas: half edges of a hot root's tree (provably
   // invalidating), half uniform present edges, all distinct.
-  std::vector<GraphDelta> removals;
+  std::vector<GraphDelta> removals, heals;
   {
     const IsolationRpts pick(g0, IsolationAtw(7));
     Rng rng(hash_combine(opt.seed, 0xb045));
     const Spt hot_tree = pick.spt(0);
-    const auto pool = parented_vertices(hot_tree);
     std::vector<char> taken(g0.num_edges(), 0);
     while (removals.size() < k) {
-      EdgeId e;
-      if (removals.size() % 2 == 0) {
-        e = hot_tree.parent_edge(pool[rng.next_below(pool.size())]);
-      } else {
-        e = static_cast<EdgeId>(rng.next_below(g0.num_edges()));
-      }
+      const EdgeId e =
+          removals.size() % 2 == 0
+              ? random_tree_edge(hot_tree, rng)
+              : static_cast<EdgeId>(rng.next_below(g0.num_edges()));
       if (taken[e] || !g0.edge_present(e)) continue;
       taken[e] = 1;
       removals.push_back(GraphDelta::remove(e));
+      heals.push_back(GraphDelta::insert(g0.endpoints(e).u,
+                                         g0.endpoints(e).v));
     }
   }
+  Graph mutated = g0;
+  for (GraphDelta d : removals) mutated.apply(d);
+  const IsolationRpts post(mutated, IsolationAtw(7));
+
+  struct BurstRun {
+    double apply_ms = 0, heal_ms = 0;
+    size_t carried = 0, invalidated = 0, prewarmed = 0, repaired = 0;
+    std::vector<double> recovery;
+    Check check;
+  };
 
   for (int threads : opt.threads) {
     const BatchSsspEngine engine(threads);
-    for (const bool burst : {false, true}) {
+    auto run_mode = [&](bool burst, bool last_trial) {
+      BurstRun r;
       Graph g = g0;
       const IsolationRpts pi(g, IsolationAtw(7));
-      ServerConfig cfg;
-      cfg.cache.shards = opt.shards;
-      cfg.cache.byte_budget = opt.budget_mb << 20;
-      cfg.max_batch = opt.max_batch;
-      cfg.engine = &engine;
-      cfg.tracer = sinks.tracer;
-      OracleServer server(pi, cfg);
+      OracleServer server(pi, out.config(engine));
 
       // Identical warm population for both modes: every base tree, plus a
       // spread of fault trees on the hot roots -- the resident set the
       // update walk has to adjudicate.
-      for (Vertex r = 0; r < g.num_vertices(); ++r)
-        server.tree({r, {}, Direction::kOut});
-      for (size_t i = 0; i < opt.hot; ++i) {
-        const Vertex h = static_cast<Vertex>(
-            (static_cast<uint64_t>(i) * g.num_vertices()) / opt.hot);
+      for (Vertex root = 0; root < g.num_vertices(); ++root)
+        server.tree({root, {}, Direction::kOut});
+      const std::vector<Vertex> hot_roots = spread_roots(g, opt.hot);
+      for (const Vertex h : hot_roots)
         for (EdgeId e = 0; e < g.num_edges(); e += g.num_edges() / 8 + 1)
           server.tree({h, FaultSet{e}, Direction::kOut});
-      }
 
-      size_t carried = 0, invalidated = 0, prewarmed = 0, repaired = 0;
+      // Applies `deltas` in the mode under test; returns its wall time.
       auto account = [&](const UpdateResult& res) {
-        carried += res.carried;
-        invalidated += res.invalidated;
-        prewarmed += res.prewarmed;
-        repaired += res.repaired;
+        r.carried += res.carried;
+        r.invalidated += res.invalidated;
+        r.prewarmed += res.prewarmed;
+        r.repaired += res.repaired;
       };
-
-      // The measured removal burst.
-      Stopwatch apply_sw;
-      if (burst) {
-        account(server.apply_updates(g, removals));
-      } else {
-        for (const GraphDelta& d : removals)
-          account(server.apply_update(g, d));
-      }
-      const double apply_ms = apply_sw.millis();
-
-      // Recovery: first post-update queries, then sampled answers verified
-      // against a from-scratch rebuild of the mutated topology (outside
-      // the timing window).
-      std::vector<double> recovery;
-      std::vector<std::pair<Query, int32_t>> post_samples;
-      std::vector<Vertex> hot_roots;
-      for (size_t i = 0; i < opt.hot; ++i)
-        hot_roots.push_back(static_cast<Vertex>(
-            (static_cast<uint64_t>(i) * g.num_vertices()) / opt.hot));
-      for (uint64_t seq = 0; seq < 256; ++seq) {
-        const Query q = make_query(g, hot_roots, opt.seed, seq);
+      auto apply = [&](const std::vector<GraphDelta>& deltas) {
         Stopwatch sw;
-        const int32_t got = run_query(server, q);
-        recovery.push_back(sw.micros());
-        if (seq % 8 == 0) post_samples.emplace_back(q, got);
-      }
-
-      // Heal with the inverse burst (tombstone resurrection), same shape
-      // as the removal phase, exercising the insert-repair path.
-      std::vector<GraphDelta> heals;
-      for (const GraphDelta& d : removals) {
-        const Edge& ed = g0.endpoints(d.edge);
-        heals.push_back(GraphDelta::insert(ed.u, ed.v));
-      }
-      Stopwatch heal_sw;
-      if (burst) {
-        account(server.apply_updates(g, heals));
-      } else {
-        for (const GraphDelta& d : heals)
-          account(server.apply_update(g, d));
-      }
-      const double heal_ms = heal_sw.millis();
-      for (uint64_t seq = 256; seq < 384; ++seq) {
-        const Query q = make_query(g, hot_roots, opt.seed, seq);
-        post_samples.emplace_back(q, run_query(server, q));
-      }
-      // Healed topology == pristine topology: one reference serves the
-      // post-heal samples; the post-removal ones get their own rebuild.
-      size_t checked = 0, correct = 0;
-      {
-        Graph mutated = g0;
-        for (const GraphDelta& d : removals) {
-          GraphDelta m = d;
-          mutated.apply(m);
+        if (burst) {
+          account(server.apply_updates(g, deltas));
+        } else {
+          for (const GraphDelta& d : deltas)
+            account(server.apply_update(g, d));
         }
-        const IsolationRpts post(mutated, IsolationAtw(7));
-        const IsolationRpts healed(g, IsolationAtw(7));
-        for (size_t i = 0; i < post_samples.size(); ++i) {
-          const auto& [q, got] = post_samples[i];
-          const IsolationRpts& ref = i < 256 / 8 ? post : healed;
-          ++checked;
-          if (got == reference_answer(ref, q)) ++correct;
-        }
-      }
+        return sw.millis();
+      };
+      const auto make = mixed_queries(g, hot_roots, opt.seed);
 
-      std::sort(recovery.begin(), recovery.end());
-      const double rec_p50 = recovery[recovery.size() / 2];
-      const double rec_p99 =
-          recovery[std::min(recovery.size() - 1, recovery.size() * 99 / 100)];
+      // The measured removal burst, then the first post-update queries
+      // (seq 0..255, every 8th sampled against a rebuild of the mutated
+      // topology). The inverse burst (tombstone resurrection) exercises
+      // the insert-repair path; its samples (seq 256..383) are checked
+      // against a rebuild of the healed topology.
+      r.apply_ms = apply(removals);
+      const auto rec = run_closed_loop(1, 256, make, asker(server), 8);
+      r.recovery = rec.latencies;
+      r.heal_ms = apply(heals);
+      const auto healed =
+          run_closed_loop(1, 128, make, asker(server), 1, /*phase=*/2);
+      r.check = verify(rec.samples, matches(post));
+      r.check += verify(healed.samples,
+                        matches(IsolationRpts(g, IsolationAtw(7))));
+      if (last_trial)
+        out.dump(server.metrics(), "serve_burst", family, threads,
+                 burst ? "burst" : "single");
+      return r;
+    };
+
+    std::array<std::vector<BurstRun>, 2> trials;
+    for (size_t t = 0; t < kTrials; ++t)
+      for (const bool burst : {false, true})
+        trials[burst].push_back(run_mode(burst, t + 1 == kTrials));
+
+    for (const bool burst : {false, true}) {
+      std::vector<double> apply_ms;
+      Check check;
+      for (const BurstRun& r : trials[burst]) {
+        apply_ms.push_back(r.apply_ms);
+        check += r.check;
+      }
+      const BurstRun& r = trials[burst][median_index(apply_ms)];
       const char* mode = burst ? "burst" : "single";
-      dump_metrics(sinks, server, "serve_burst", family, threads, mode);
-      burst_table.add_row(family, threads, mode,
-                          static_cast<uint64_t>(k), apply_ms, heal_ms,
-                          carried, invalidated, repaired,
-                          prewarmed - repaired);
-      json.row()
-          .field("bench", "serve_burst")
-          .field("family", family)
-          .field("n", static_cast<uint64_t>(g.num_vertices()))
-          .field("m", static_cast<uint64_t>(g.num_edges()))
-          .field("threads", threads)
-          .field("mode", mode)
-          .field("seed", opt.seed)
-          .field("flaps", static_cast<uint64_t>(k))
-          .field("apply_ms", apply_ms)
-          .field("apply_ms_per_flap", apply_ms / static_cast<double>(k))
-          .field("heal_ms", heal_ms)
-          .field("carried_total", static_cast<uint64_t>(carried))
-          .field("invalidated_total", static_cast<uint64_t>(invalidated))
-          .field("prewarmed_total", static_cast<uint64_t>(prewarmed))
-          .field("repaired_total", static_cast<uint64_t>(repaired))
-          .field("recomputed_total",
-                 static_cast<uint64_t>(prewarmed - repaired))
-          .field("recovery_p50_us", rec_p50)
-          .field("recovery_p99_us", rec_p99)
-          .field("checked", static_cast<uint64_t>(checked))
-          .field("correct", static_cast<uint64_t>(correct))
-          .field("hw_threads",
-                 static_cast<uint64_t>(std::thread::hardware_concurrency()));
+      table.add_row(family, threads, mode, static_cast<uint64_t>(k), r.apply_ms,
+                    r.heal_ms, r.carried, r.invalidated, r.repaired,
+                    r.prewarmed - r.repaired);
+      out.row("serve_burst", family, g0, threads, mode, check)
+          .field("flaps", k)
+          .field("apply_ms", r.apply_ms)
+          .field("apply_ms_trials", join(apply_ms, "%.4f"))
+          .field("apply_ms_per_flap", r.apply_ms / static_cast<double>(k))
+          .field("heal_ms", r.heal_ms)
+          .field("carried_total", r.carried)
+          .field("invalidated_total", r.invalidated)
+          .field("prewarmed_total", r.prewarmed)
+          .field("repaired_total", r.repaired)
+          .field("recomputed_total", r.prewarmed - r.repaired)
+          .field("recovery_p50_us", percentile(r.recovery, 50))
+          .field("recovery_p99_us", percentile(r.recovery, 99));
     }
   }
 }
 
-// RCU scenario: steady-state query latency of the epoch-pinned lock-free
-// reads under CONTINUOUS background churn. For each thread count the same
-// closed-loop mixed workload is measured twice -- once against a quiet
-// server, then again while a background mutator thread duty-cycles one
-// hot-tree edge through apply_update (remove, pause, heal, pause). At any
-// instant the topology is either the full graph or the graph minus that
-// one victim edge, so every sampled churn-phase answer is verified against
-// from-scratch rebuilds of BOTH topologies: matching either proves the
-// query computed on one coherent generation; matching neither would mean a
-// torn read across an epoch swap. The judged signal is
-// p99_churn / p99_nochurn: epoch-pinned queries never block on the
-// mutator, so the ratio should stay near 1. Timing asserts stay OUT of CI
-// -- 1-core runners make the ratio noisy in both directions -- CI checks
-// row shape and correctness only.
-void bench_churn_rcu(Table& rcu_table, JsonRows& json, const Options& opt,
-                     const ObsSinks& sinks, const std::string& family,
-                     const Graph& g0) {
+// serve_churn_rcu: steady-state query latency of the epoch-pinned
+// lock-free reads under CONTINUOUS background churn: the same workload
+// quiet, then while a background mutator thread duty-cycles one hot-tree
+// edge through apply_update (remove, pause, heal, pause). Every sampled
+// churn answer must match a rebuild of one of the two topologies: matching
+// neither would mean a torn read across an epoch swap. Epoch-pinned queries
+// never block on the mutator, so p99_churn / p99_nochurn should stay near
+// 1; shared 1-core runners make that ratio too noisy to gate.
+void bench_churn_rcu(Table& table, const Options& opt, const Report& out,
+                     const std::string& family, const Graph& g0) {
   for (int threads : opt.threads) {
     const BatchSsspEngine engine(threads);
     Graph g = g0;  // the mutable working copy this scheme serves
     const IsolationRpts pi(g, IsolationAtw(7));
-    ServerConfig cfg;
-    cfg.cache.shards = opt.shards;
-    cfg.cache.byte_budget = opt.budget_mb << 20;
-    cfg.max_batch = opt.max_batch;
-    cfg.engine = &engine;
-    cfg.tracer = sinks.tracer;
-    OracleServer server(pi, cfg);
-
-    std::vector<Vertex> hot_roots;
-    for (size_t i = 0; i < opt.hot; ++i)
-      hot_roots.push_back(static_cast<Vertex>(
-          (static_cast<uint64_t>(i) * g.num_vertices()) / opt.hot));
+    OracleServer server(pi, out.config(engine));
+    const std::vector<Vertex> hot_roots = spread_roots(g, opt.hot);
 
     // Victim: a parent edge of hot root 0's current tree -- present on
     // the pristine topology and guaranteed to invalidate hot trees, so
     // every flap exercises the full publish + prewarm path, not a
     // carried-forward no-op.
-    EdgeId victim;
-    {
-      Rng rng(hash_combine(opt.seed, 0x4cb7));
-      const auto tree = server.tree({hot_roots[0], {}, Direction::kOut});
-      const auto pool = parented_vertices(*tree);
-      victim = tree->parent_edge(pool[rng.next_below(pool.size())]);
-    }
+    Rng rng(hash_combine(opt.seed, 0x4cb7));
+    const EdgeId victim = random_tree_edge(
+        *server.tree({hot_roots[0], {}, Direction::kOut}), rng);
     const Edge ends = g.endpoints(victim);
 
     // Queries are generated off the pristine graph: the live one mutates
-    // under the mutator thread, and make_query only needs the stable
-    // vertex / edge-slot counts (tombstones keep both constant).
+    // under the mutator thread.
+    const auto make = mixed_queries(g0, hot_roots, opt.seed);
     const size_t per_thread =
         std::max<size_t>(1, opt.queries / static_cast<size_t>(threads));
-    std::vector<std::pair<Query, int32_t>> samples;
-    auto measure = [&](uint64_t phase_tag, bool keep_samples) {
-      std::vector<std::vector<double>> lat(threads);
-      std::vector<std::vector<std::pair<Query, int32_t>>> sm(threads);
-      Stopwatch wall;
-      std::vector<std::thread> workers;
-      workers.reserve(threads);
-      for (int w = 0; w < threads; ++w) {
-        workers.emplace_back([&, w, phase_tag, keep_samples] {
-          lat[w].reserve(per_thread);
-          for (size_t i = 0; i < per_thread; ++i) {
-            const uint64_t seq =
-                (phase_tag * static_cast<uint64_t>(threads) +
-                 static_cast<uint64_t>(w)) *
-                    per_thread +
-                i;
-            const Query q = make_query(g0, hot_roots, opt.seed, seq);
-            Stopwatch sw;
-            const int32_t got = run_query(server, q);
-            lat[w].push_back(sw.micros());
-            if (keep_samples && i % 64 == 0) sm[w].emplace_back(q, got);
-          }
-        });
-      }
-      for (auto& t : workers) t.join();
-      Measurement m;
-      m.wall_ms = wall.millis();
-      std::vector<double> all;
-      for (auto& l : lat) all.insert(all.end(), l.begin(), l.end());
-      std::sort(all.begin(), all.end());
-      m.p50_us = all[all.size() / 2];
-      m.p99_us = all[std::min(all.size() - 1, all.size() * 99 / 100)];
-      m.qps = static_cast<double>(all.size()) / (m.wall_ms / 1e3);
-      for (auto& s : sm) samples.insert(samples.end(), s.begin(), s.end());
-      return m;
-    };
 
-    // Phase 1: the quiet baseline (warms the hot trees as a side effect).
-    const Measurement still = measure(0, false);
+    // Phase 0: the quiet baseline (warms the hot trees as a side effect).
+    const auto still =
+        run_closed_loop(threads, per_thread, make, asker(server), 0, 0);
 
-    // Phase 2: identical workload under continuous churn. Each mutator
+    // Phase 1: identical workload under continuous churn. Each mutator
     // iteration ends healed, so the final topology equals the pristine
     // one; the short pauses are the duty cycle a real control plane
     // would have between delta batches.
@@ -1109,92 +946,65 @@ void bench_churn_rcu(Table& rcu_table, JsonRows& json, const Options& opt,
         ++pairs;
       }
     });
-    const Measurement churn = measure(1, true);
+    const auto churn =
+        run_closed_loop(threads, per_thread, make, asker(server), 64, 1);
     stop.store(true, std::memory_order_relaxed);
     mutator.join();
     const uint64_t updates = server.updates_applied() - updates_before;
 
-    // Verify every sampled churn answer against rebuilds of both
+    // Every sampled churn answer must match a rebuild of one of the two
     // topologies the flap alternates between (same policy seed as the
     // served scheme, so tiebreaking is bit-identical). A sample matching
     // neither means a query mixed epochs.
-    size_t checked = 0, correct = 0;
-    {
-      const IsolationRpts full_ref(g0, IsolationAtw(7));
-      Graph removed = g0;
-      GraphDelta rm = GraphDelta::remove(victim);
-      removed.apply(rm);
-      const IsolationRpts removed_ref(removed, IsolationAtw(7));
-      for (const auto& [q, got] : samples) {
-        ++checked;
-        if (got == reference_answer(full_ref, q) ||
-            got == reference_answer(removed_ref, q))
-          ++correct;
-      }
-    }
+    const IsolationRpts full_ref(g0, IsolationAtw(7));
+    Graph removed = g0;
+    GraphDelta rm = GraphDelta::remove(victim);
+    removed.apply(rm);
+    const IsolationRpts removed_ref(removed, IsolationAtw(7));
+    const Check check =
+        verify(churn.samples, [&](const Query& q, int32_t got) {
+          return got == reference_answer(full_ref, q) ||
+                 got == reference_answer(removed_ref, q);
+        });
 
+    const Measurement ms = measure(still), mc = measure(churn);
     const GenerationManager::Stats gs = server.generations()->stats();
-    const double ratio = still.p99_us > 0 ? churn.p99_us / still.p99_us : 0;
+    const double ratio = ms.p99_us > 0 ? mc.p99_us / ms.p99_us : 0;
     const char* mode = "rcu";
-    dump_metrics(sinks, server, "serve_churn_rcu", family, threads, mode);
-    rcu_table.add_row(family, threads, mode, churn.qps, still.p99_us,
-                      churn.p99_us, ratio, updates,
-                      correct == checked ? "yes" : "NO");
-    json.row()
-        .field("bench", "serve_churn_rcu")
-        .field("family", family)
-        .field("n", static_cast<uint64_t>(g.num_vertices()))
-        .field("m", static_cast<uint64_t>(g.num_edges()))
-        .field("threads", threads)
-        .field("mode", mode)
-        .field("seed", opt.seed)
-        .field("queries",
-               static_cast<uint64_t>(per_thread *
-                                     static_cast<size_t>(threads)))
+    out.dump(server.metrics(), "serve_churn_rcu", family, threads, mode);
+    table.add_row(family, threads, mode, mc.qps, ms.p99_us, mc.p99_us, ratio,
+                  updates, check.correct == check.checked ? "yes" : "NO");
+    out.row("serve_churn_rcu", family, g0, threads, mode, check)
+        .field("queries", per_thread * static_cast<size_t>(threads))
         .field("updates", updates)
-        .field("qps_nochurn", still.qps)
-        .field("qps_churn", churn.qps)
-        .field("p50_nochurn_us", still.p50_us)
-        .field("p99_nochurn_us", still.p99_us)
-        .field("p50_churn_us", churn.p50_us)
-        .field("p99_churn_us", churn.p99_us)
+        .field("qps_nochurn", ms.qps)
+        .field("qps_churn", mc.qps)
+        .field("p50_nochurn_us", ms.p50_us)
+        .field("p99_nochurn_us", ms.p99_us)
+        .field("p50_churn_us", mc.p50_us)
+        .field("p99_churn_us", mc.p99_us)
         .field("p99_ratio", ratio)
         .field("gen_published", gs.published)
         .field("gen_retired", gs.retired)
         .field("gen_publish_waits", gs.publish_waits)
-        .field("gen_live", gs.live)
-        .field("checked", static_cast<uint64_t>(checked))
-        .field("correct", static_cast<uint64_t>(correct))
-        .field("hw_threads",
-               static_cast<uint64_t>(std::thread::hardware_concurrency()));
+        .field("gen_live", gs.live);
   }
 }
 
-// Approximate-tier scenario (bench=serve_eps rows): the SAME churn-heavy
-// workload -- distance-dominated query phases interleaved with a
-// precomputed shortcut insert/remove flap schedule -- served once
-// by an exact-tier server (default_epsilon = 0) and once by an
-// approximate-tier server (default_epsilon = eps), per --epsilon value.
-// Every base tree is warmed up front so each flap forces the update walk to
-// adjudicate the full resident set: the exact tier invalidates and
-// recomputes where the (1+eps)-slack survival test carries trees forward,
-// so the judged signal is sustained qps (query wall + apply wall together)
-// and the churn carried fraction. Sampled answers are verified OUTSIDE the
-// timing window against a from-scratch exact rebuild of each phase's
-// topology: an approximate answer is valid iff it equals the exact distance
-// or lies in [d_exact, (1+eps_eff)^d_exact * d_exact] with matching
-// reachability (the tier's user-facing contract; eps_eff is the quantized
-// slack actually served). The CI bench-smoke job asserts (a) every sampled
-// answer within the stretch bound, (b) approx-tier sustained qps >= the
-// exact tier's on the identical schedule, (c) approx carried fraction >=
-// the exact tier's.
-void bench_epsilon(Table& eps_table, JsonRows& json, const Options& opt,
-                   const ObsSinks& sinks, const std::string& family,
-                   const Graph& g0) {
-  std::vector<Vertex> hot_roots;
-  for (size_t i = 0; i < opt.hot; ++i)
-    hot_roots.push_back(static_cast<Vertex>(
-        (static_cast<uint64_t>(i) * g0.num_vertices()) / opt.hot));
+// serve_eps: the SAME churn-heavy workload -- distance-dominated query
+// phases interleaved with a precomputed shortcut insert/remove flap
+// schedule -- served by an exact-tier server (default_epsilon = 0) and an
+// approximate-tier one (default_epsilon = eps), per --epsilon value, both
+// kTrials times interleaved. Every base tree is warmed up front, so each
+// flap makes the update walk adjudicate the full resident set: the exact
+// tier recomputes where the (1+eps)-slack survival test carries trees
+// forward. qps is sustained (query + apply wall) and the median trial's;
+// every other field but the checks (all trials) is that trial's too. An
+// answer is correct iff it lies in [d_exact, (1+eps_eff)^d_exact * d_exact]
+// with matching reachability (eps_eff = the quantized slack served).
+void bench_epsilon(Table& table, const Options& opt, const Report& out,
+                   const std::string& family, const Graph& g0) {
+  const std::vector<Vertex> hot_roots = spread_roots(g0, opt.hot);
   // Reused fault keys (cacheable, unlike the scan scenario's sweep).
   EdgeId fault_pool[4];
   for (size_t i = 0; i < 4; ++i)
@@ -1214,8 +1024,7 @@ void bench_epsilon(Table& eps_table, JsonRows& json, const Options& opt,
   {
     // Hop-band index: ONE tree per hot root, vertices bucketed by their hop
     // distance, then O(1) draws from the 3-4 band (widened to 2-4 when the
-    // band is thin). The old picker probed a full SSSP per rejected try,
-    // which is exactly the per-sample scan large-n drivers cannot afford.
+    // band is thin), so the driver never probes an SSSP per rejected try.
     const IsolationRpts pick(g0, IsolationAtw(7));
     Rng rng(hash_combine(opt.seed, 0xe95));
     std::vector<std::vector<Vertex>> band(hot_roots.size());
@@ -1248,17 +1057,27 @@ void bench_epsilon(Table& eps_table, JsonRows& json, const Options& opt,
   }
   const double gen_ms = gen_sw.millis();
 
+  // Distance queries only: one in five under a reused fault key.
+  auto make = [&](uint64_t seq) {
+    const uint64_t h = hash_combine(hash_combine(0xe950, opt.seed), seq);
+    Query q;
+    q.s = hot_roots[h % hot_roots.size()];
+    q.t = static_cast<Vertex>(hash_combine(h, 1) % g0.num_vertices());
+    const bool faulted = hash_combine(h, 2) % 5 == 0;
+    q.kind = faulted ? Query::kFaultDistance : Query::kDistance;
+    q.e = faulted ? fault_pool[hash_combine(h, 3) % 4] : kNoEdge;
+    return q;
+  };
+
   struct TierResult {
-    double qps = 0;        // sustained: queries / (query wall + apply wall)
-    double qps_query = 0;  // query-window-only throughput
-    double p50_us = 0, p99_us = 0;
+    double qps = 0;     // sustained: queries / (query wall + apply wall)
+    Measurement query;  // the query windows alone
     double apply_ms = 0;
     double bytes_per_query = 0;
     double hit_rate = 0;
     uint64_t carried = 0, invalidated = 0;
-    double carried_fraction = 0;
-    size_t checked = 0, within_bound = 0;
-    uint64_t observed_max_excess_ppm = 0;
+    Check check;  // correct = within the tier's contract
+    uint64_t max_excess_ppm = 0;
     ServerStats sstats;
   };
 
@@ -1268,17 +1087,12 @@ void bench_epsilon(Table& eps_table, JsonRows& json, const Options& opt,
       const uint32_t eps_q = quantize_epsilon(eps);
       const double eps_eff = dequantize_epsilon(eps_q);
 
-      auto run_tier = [&](double tier_eps) {
+      auto run_tier = [&](double tier_eps, bool last_trial) {
         TierResult r;
         Graph g = g0;
         const IsolationRpts pi(g, IsolationAtw(7));
-        ServerConfig cfg;
-        cfg.cache.shards = opt.shards;
-        cfg.cache.byte_budget = opt.budget_mb << 20;
-        cfg.max_batch = opt.max_batch;
-        cfg.engine = &engine;
+        ServerConfig cfg = out.config(engine);
         cfg.default_epsilon = tier_eps;
-        cfg.tracer = sinks.tracer;
         OracleServer server(pi, cfg);
 
         // Warm the full resident set (every base tree + the reused fault
@@ -1291,54 +1105,39 @@ void bench_epsilon(Table& eps_table, JsonRows& json, const Options& opt,
         const uint64_t warm_queries = server.queries_served();
         const uint64_t warm_bytes = server.bytes_materialized();
 
+        // Within the tier's contract: exact rows must match the rebuild
+        // bit-for-bit, approx rows must land in
+        // [d_exact, (1+eps_eff)^d_exact * d_exact].
+        auto within_bound = [&](const IRpts& ref) {
+          return [&r, &ref, eps_eff](const Query& q, int32_t got) {
+            const int32_t exact = reference_answer(ref, q);
+            if (got == exact) return true;
+            if (exact == kUnreachable || got == kUnreachable || got < exact)
+              return false;
+            const double d = static_cast<double>(exact);
+            if (got > std::pow(1.0 + eps_eff, exact) * d + 1e-9) return false;
+            const auto ppm = static_cast<uint64_t>((got - exact) * 1e6 / d);
+            r.max_excess_ppm = std::max(r.max_excess_ppm, ppm);
+            return true;
+          };
+        };
+
         const size_t phases = opt.flaps + 1;
         const size_t per_thread = std::max<size_t>(
             8, opt.queries / phases / static_cast<size_t>(threads));
-        struct Sample {
-          size_t phase;
-          Vertex s, t;
-          EdgeId e;  // kNoEdge = plain distance query
-          int32_t got;
-        };
-        std::vector<Graph> snapshots;
-        std::vector<std::vector<Sample>> samples(threads);
         std::vector<double> latencies;
         double query_wall_ms = 0;
         EdgeId pending_shortcut = kNoEdge;  // live shortcut awaiting removal
 
         for (size_t phase = 0; phase < phases; ++phase) {
-          snapshots.push_back(g);
-          std::vector<std::vector<double>> lat(threads);
-          Stopwatch wall;
-          std::vector<std::thread> workers;
-          workers.reserve(threads);
-          for (int w = 0; w < threads; ++w) {
-            workers.emplace_back([&, w, phase] {
-              for (size_t i = 0; i < per_thread; ++i) {
-                const uint64_t seq =
-                    (static_cast<uint64_t>(phase) * threads + w) * per_thread +
-                    i;
-                const uint64_t h =
-                    hash_combine(hash_combine(0xe950, opt.seed), seq);
-                const Vertex s = hot_roots[h % hot_roots.size()];
-                const Vertex t = static_cast<Vertex>(
-                    hash_combine(h, 1) % g.num_vertices());
-                const bool faulted = hash_combine(h, 2) % 5 == 0;
-                const EdgeId e =
-                    faulted ? fault_pool[hash_combine(h, 3) % 4] : kNoEdge;
-                Stopwatch sw;
-                const int32_t got = faulted
-                                        ? server.distance(s, t, FaultSet{e})
-                                        : server.distance(s, t);
-                lat[w].push_back(sw.micros());
-                if (i % 32 == 0) samples[w].push_back({phase, s, t, e, got});
-              }
-            });
-          }
-          for (auto& t : workers) t.join();
-          query_wall_ms += wall.millis();
-          for (auto& l : lat)
-            latencies.insert(latencies.end(), l.begin(), l.end());
+          const auto run =
+              run_closed_loop(threads, per_thread, make, asker(server), 32,
+                              phase);
+          r.check += verify(run.samples,
+                            within_bound(IsolationRpts(g, IsolationAtw(7))));
+          query_wall_ms += run.wall_ms;
+          latencies.insert(latencies.end(), run.latencies.begin(),
+                           run.latencies.end());
 
           if (phase + 1 == phases) break;
           // Flap: even flaps insert the next shortcut, odd flaps remove it.
@@ -1357,94 +1156,60 @@ void bench_epsilon(Table& eps_table, JsonRows& json, const Options& opt,
           if (phase % 2 == 0) pending_shortcut = res.delta.edge;
         }
 
-        // Stretch verification, outside the timing window, against an exact
-        // from-scratch rebuild of each phase's topology.
-        for (size_t phase = 0; phase < phases; ++phase) {
-          const IsolationRpts ref(snapshots[phase], IsolationAtw(7));
-          for (const auto& per_worker : samples)
-            for (const Sample& s : per_worker) {
-              if (s.phase != phase) continue;
-              const int32_t exact =
-                  s.e == kNoEdge ? ref.distance(s.s, s.t)
-                                 : ref.distance(s.s, s.t, FaultSet{s.e});
-              ++r.checked;
-              if (s.got == exact) {
-                ++r.within_bound;
-              } else if (exact != kUnreachable && s.got != kUnreachable &&
-                         s.got >= exact &&
-                         static_cast<double>(s.got) <=
-                             std::pow(1.0 + eps_eff, exact) *
-                                     static_cast<double>(exact) +
-                                 1e-9) {
-                ++r.within_bound;
-                const uint64_t ppm = static_cast<uint64_t>(
-                    (static_cast<double>(s.got - exact) * 1e6) /
-                    static_cast<double>(exact));
-                r.observed_max_excess_ppm =
-                    std::max(r.observed_max_excess_ppm, ppm);
-              }
-            }
-        }
-
         std::sort(latencies.begin(), latencies.end());
-        if (!latencies.empty()) {
-          r.p50_us = latencies[latencies.size() / 2];
-          r.p99_us = latencies[std::min(latencies.size() - 1,
-                                        latencies.size() * 99 / 100)];
-        }
-        const double total_queries = static_cast<double>(latencies.size());
-        r.qps_query = total_queries / (query_wall_ms / 1e3);
-        r.qps = total_queries / ((query_wall_ms + r.apply_ms) / 1e3);
-        r.carried_fraction =
-            r.carried + r.invalidated
-                ? static_cast<double>(r.carried) /
-                      static_cast<double>(r.carried + r.invalidated)
-                : 0.0;
+        r.query = {rate(latencies.size(), query_wall_ms),
+                   percentile(latencies, 50), percentile(latencies, 99)};
+        r.qps = rate(latencies.size(), query_wall_ms + r.apply_ms);
         r.bytes_per_query =
             static_cast<double>(server.bytes_materialized() - warm_bytes) /
             std::max(1.0, static_cast<double>(server.queries_served() -
                                               warm_queries));
         r.hit_rate = server.cache()->stats().hit_rate();
         r.sstats = server.stats();
-        dump_metrics(sinks, server, "serve_eps", family, threads,
-                     tier_eps > 0 ? "approx" : "exact");
+        if (last_trial)
+          out.dump(server.metrics(), "serve_eps", family, threads,
+                   tier_eps > 0 ? "approx" : "exact");
         return r;
       };
 
-      const TierResult exact = run_tier(0.0);
-      const TierResult approx = run_tier(eps);
+      std::array<std::vector<TierResult>, 2> trials;
+      for (size_t t = 0; t < kTrials; ++t) {
+        trials[0].push_back(run_tier(0.0, t + 1 == kTrials));
+        trials[1].push_back(run_tier(eps, t + 1 == kTrials));
+      }
 
       for (const bool is_approx : {false, true}) {
-        const TierResult& r = is_approx ? approx : exact;
+        std::vector<double> qps;
+        Check check;
+        uint64_t max_excess_ppm = 0;
+        for (const TierResult& t : trials[is_approx]) {
+          qps.push_back(t.qps);
+          check += t.check;
+          max_excess_ppm = std::max(max_excess_ppm, t.max_excess_ppm);
+        }
+        const TierResult& r = trials[is_approx][median_index(qps)];
         const char* mode = is_approx ? "approx" : "exact";
-        eps_table.add_row(family, threads, eps, mode, r.qps,
-                          r.carried_fraction, r.hit_rate,
-                          static_cast<double>(r.observed_max_excess_ppm) / 1e6,
-                          r.within_bound == r.checked ? "yes" : "NO");
-        json.row()
-            .field("bench", "serve_eps")
-            .field("family", family)
-            .field("n", static_cast<uint64_t>(g0.num_vertices()))
-            .field("m", static_cast<uint64_t>(g0.num_edges()))
-            .field("threads", threads)
-            .field("mode", mode)
-            .field("metrics", metrics_build())
-            .field("seed", opt.seed)
-            .field("flaps", static_cast<uint64_t>(opt.flaps))
+        const double carried_fraction = share(r.carried, r.invalidated);
+        table.add_row(family, threads, eps, mode, r.qps, carried_fraction,
+                      r.hit_rate, static_cast<double>(max_excess_ppm) / 1e6,
+                      check.correct == check.checked ? "yes" : "NO");
+        out.row("serve_eps", family, g0, threads, mode, check)
+            .field("flaps", opt.flaps)
             .field("epsilon", eps)
             .field("eps_q", static_cast<uint64_t>(is_approx ? eps_q : 0))
             .field("eps_effective", is_approx ? eps_eff : 0.0)
             .field("qps", r.qps)
-            .field("qps_query", r.qps_query)
-            .field("p50_us", r.p50_us)
-            .field("p99_us", r.p99_us)
+            .field("qps_trials", join(qps, "%.1f"))
+            .field("qps_query", r.query.qps)
+            .field("p50_us", r.query.p50_us)
+            .field("p99_us", r.query.p99_us)
             .field("gen_ms", gen_ms)
             .field("apply_ms", r.apply_ms)
             .field("hit_rate", r.hit_rate)
             .field("bytes_per_query", r.bytes_per_query)
             .field("carried_total", r.carried)
             .field("invalidated_total", r.invalidated)
-            .field("carried_fraction", r.carried_fraction)
+            .field("carried_fraction", carried_fraction)
             .field("approx_hit", r.sstats.approx_hit)
             .field("escalated", r.sstats.escalated)
             .field("escalations_total", r.sstats.escalations_total)
@@ -1455,42 +1220,29 @@ void bench_epsilon(Table& eps_table, JsonRows& json, const Options& opt,
             .field("stretch_samples", r.sstats.stretch_samples)
             .field("server_max_stretch_excess_ppm",
                    r.sstats.max_stretch_excess_ppm)
-            .field("checked", static_cast<uint64_t>(r.checked))
-            // "correct" for this scenario means within the tier's contract:
-            // exact rows must match the rebuild bit-for-bit, approx rows
-            // must land in [d_exact, (1+eps_eff)^d_exact * d_exact].
-            .field("correct", static_cast<uint64_t>(r.within_bound))
-            .field("within_bound", static_cast<uint64_t>(r.within_bound))
-            .field("observed_max_excess_ppm", r.observed_max_excess_ppm)
-            .field("hw_threads",
-                   static_cast<uint64_t>(std::thread::hardware_concurrency()));
+            .field("within_bound", check.correct)
+            .field("observed_max_excess_ppm", max_excess_ppm);
       }
     }
   }
 }
 
-// Large-graph scenario (bench=serve_large rows): the memory-capacity
-// economics of production-scale graphs. The subject is either --graph-file
-// or a generated sparse_connected(large_n) road-like graph, taken through
-// the full restart path -- freeze -> write -> mmap-load -> thaw -- so every
-// run reports what a cold start actually costs (gen_ms for the driver's own
-// graph acquisition, pack_ms to freeze, load_ms to map; mmap records whether
-// the zero-parse path was live). Queries draw hot roots from a skewed
-// (min-of-four uniforms) distribution over a root set sized ~2x what the
-// budget would hold in fat form, so the cache budget -- not compute -- is
-// the binding constraint, exactly the regime compact trees exist for. Two
-// modes per thread count, both serving the published (compact) form:
-// `compact` on the in-memory graph, `compact_mmap` on the mmap-thawed
-// graph. Every sampled answer is checked against one from-scratch reference
-// tree per hot root; after the query window a short flap phase (remove a
-// hot parent edge, heal it) exercises repair-vs-recompute at scale. CI
-// asserts bytes_per_tree <= 0.6x fat_bytes_per_tree (the fat probe), more
-// than hot_roots / 2 trees resident at the fixed budget (the budget holds
-// exactly that many fat trees), and samples_match == samples. Thread
-// accounting: --threads T is the total footprint, split by split_threads
-// into drivers + engine workers.
-void bench_large(Table& large_table, JsonRows& json, const Options& opt,
-                 const ObsSinks& sinks) {
+// serve_large: the memory-capacity economics of production-scale graphs.
+// The subject is either --graph-file or a generated sparse_connected(large_n)
+// road-like graph, taken through the full restart path -- freeze -> write ->
+// mmap-load -> thaw -- so every run reports what a cold start actually
+// costs (gen_ms for the driver's own graph acquisition, pack_ms to freeze,
+// load_ms to map; mmap records whether the zero-parse path was live).
+// Queries draw hot roots from a skewed (min-of-four uniforms) distribution
+// over a root set sized ~2x what the budget would hold in fat form, so the
+// cache budget -- not compute -- is the binding constraint, exactly the
+// regime compact trees exist for. Two modes per thread count, both serving
+// the published (compact) form: `compact` on the in-memory graph,
+// `compact_mmap` on the mmap-thawed graph. Every sampled answer is checked
+// against one from-scratch reference tree per hot root; after the query
+// window a short flap phase (remove a hot parent edge, heal it) exercises
+// repair-vs-recompute at scale. Thread accounting as in serve_sharded.
+void bench_large(Table& table, const Options& opt, const Report& out) {
   // --- Acquire the subject graph (gen_ms = driver-side acquisition cost).
   Stopwatch gen_sw;
   Graph mem;
@@ -1520,8 +1272,7 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
   double pack_ms = 0, load_ms = 0;
   bool mmapped = false;
   uint64_t file_bytes = 0;
-  Graph mapped;
-  bool have_mapped = false;
+  std::optional<Graph> mapped;
   if (!input_frozen) {
     Stopwatch sw;
     if (FrozenCsr::freeze(mem).write(frozen_path)) pack_ms = sw.millis();
@@ -1534,18 +1285,13 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
       mmapped = frozen->mapped();
       file_bytes = frozen->file_bytes();
       mapped = frozen->thaw();
-      have_mapped = true;
     }
   }
   if (!input_frozen) std::remove(frozen_path.c_str());
-  if (!have_mapped) mapped = mem;  // degraded: still measures, mmap=0
 
   const IsolationRpts ref(mem, IsolationAtw(7));
   const size_t hot = 32;
-  std::vector<Vertex> hot_roots;
-  for (size_t i = 0; i < hot; ++i)
-    hot_roots.push_back(static_cast<Vertex>(
-        (static_cast<uint64_t>(i) * mem.num_vertices()) / hot));
+  const std::vector<Vertex> hot_roots = spread_roots(mem, hot);
   // Budget: half the hot set's FAT trees, so the published compact form
   // (~6 vs 12 bytes/vertex) holds roughly the whole set where fat trees
   // would thrash. probe_bytes is also every row's fat_bytes_per_tree.
@@ -1554,13 +1300,27 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
   // Query volume scaled so miss-driven recomputes stay bounded as n grows
   // (each miss is a full SSSP); the row records the actual count.
   const size_t lq = std::max<size_t>(
-      240, std::min(opt.queries,
-                    size_t{200000000} / std::max<size_t>(1, mem.num_vertices())));
+      240, std::min(opt.queries, size_t{200000000} /
+                                     std::max<size_t>(1, mem.num_vertices())));
   const size_t large_flaps = 2;
+  auto make = [&](uint64_t seq) {
+    const uint64_t h = hash_combine(hash_combine(0x1a49e, opt.seed), seq);
+    Query q;
+    // Skewed root draw: min of four uniforms keeps the head of the hot set
+    // resident under LRU while the tail still gets touched.
+    uint64_t idx = h % hot;
+    idx = std::min(idx, hash_combine(h, 4) % hot);
+    idx = std::min(idx, hash_combine(h, 5) % hot);
+    idx = std::min(idx, hash_combine(h, 6) % hot);
+    q.s = hot_roots[idx];
+    q.t = static_cast<Vertex>(hash_combine(h, 1) % mem.num_vertices());
+    q.e = 0;
+    q.kind = hash_combine(h, 3) % 10 < 8 ? Query::kDistance : Query::kPath;
+    return q;
+  };
 
   struct LargeRun {
     int threads = 0;
-    ThreadSplit ts{};
     const char* mode = "";
     Measurement m;
     std::vector<std::pair<Query, int32_t>> samples;  // deterministic order
@@ -1572,95 +1332,49 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
   std::vector<LargeRun> runs;
 
   for (int threads : {1, 2, 8}) {
-    // --threads is the TOTAL footprint: drivers + engine workers (see
-    // split_threads). The row's `threads` field keeps the total budget;
-    // driver_threads / engine_threads record the split that actually ran.
     const ThreadSplit ts = split_threads(threads);
     const BatchSsspEngine engine(ts.engine);
     auto run_mode = [&](const Graph& base, const char* mode) {
       LargeRun r;
       r.threads = threads;
-      r.ts = ts;
       r.mode = mode;
       Graph g = base;  // private copy: the flap phase mutates it
       const IsolationRpts pi(g, IsolationAtw(7));
-      ServerConfig cfg;
+      ServerConfig cfg = out.config(engine);
       cfg.cache.shards = 1;  // exact LRU counts: entries compare across modes
       cfg.cache.byte_budget = budget;
-      cfg.max_batch = opt.max_batch;
-      cfg.engine = &engine;
-      cfg.tracer = sinks.tracer;
       OracleServer server(pi, cfg);
       const size_t per_thread =
           std::max<size_t>(1, lq / static_cast<size_t>(ts.drivers));
-      std::vector<std::vector<double>> lat(ts.drivers);
-      std::vector<std::vector<std::pair<Query, int32_t>>> sm(ts.drivers);
-      Stopwatch wall;
-      std::vector<std::thread> workers;
-      workers.reserve(ts.drivers);
-      for (int w = 0; w < ts.drivers; ++w) {
-        workers.emplace_back([&, w] {
-          lat[w].reserve(per_thread);
-          for (size_t i = 0; i < per_thread; ++i) {
-            const uint64_t seq = static_cast<uint64_t>(w) * per_thread + i;
-            const uint64_t h =
-                hash_combine(hash_combine(0x1a49e, opt.seed), seq);
-            Query q;
-            // Skewed root draw: min of four uniforms keeps the head of the
-            // hot set resident under LRU while the tail still gets touched.
-            uint64_t idx = h % hot;
-            idx = std::min(idx, hash_combine(h, 4) % hot);
-            idx = std::min(idx, hash_combine(h, 5) % hot);
-            idx = std::min(idx, hash_combine(h, 6) % hot);
-            q.s = hot_roots[idx];
-            q.t = static_cast<Vertex>(hash_combine(h, 1) % g.num_vertices());
-            q.e = 0;
-            q.kind =
-                hash_combine(h, 3) % 10 < 8 ? Query::kDistance : Query::kPath;
-            Stopwatch sw;
-            const int32_t got = run_query(server, q);
-            lat[w].push_back(sw.micros());
-            if (i % 16 == 0) sm[w].emplace_back(q, got);
-          }
-        });
-      }
-      for (auto& t : workers) t.join();
-      r.m.wall_ms = wall.millis();
-      for (auto& s : sm)
-        r.samples.insert(r.samples.end(), s.begin(), s.end());
+      auto run =
+          run_closed_loop(ts.drivers, per_thread, make, asker(server), 16);
+      r.m = measure(run);
+      r.samples = std::move(run.samples);
 
       // Repair-vs-recompute at scale: flap a hot parent edge and heal it,
       // letting the update walk adjudicate the full resident set.
-      {
-        const auto tree = server.tree({hot_roots[0], {}, Direction::kOut});
-        const auto pool = parented_vertices(*tree);
-        Rng rng(hash_combine(opt.seed, 0x1a46e));
-        Stopwatch sw;
-        for (size_t f = 0; f < large_flaps; ++f) {
-          const EdgeId e = tree->parent_edge(pool[rng.next_below(pool.size())]);
-          const Edge ends = g.endpoints(e);
-          server.apply_update(g, GraphDelta::remove(e));
-          server.apply_update(g, GraphDelta::insert(ends.u, ends.v));
-        }
-        r.apply_ms = sw.millis();
+      const auto tree = server.tree({hot_roots[0], {}, Direction::kOut});
+      Rng rng(hash_combine(opt.seed, 0x1a46e));
+      std::vector<EdgeId> victims;
+      for (size_t f = 0; f < large_flaps; ++f)
+        victims.push_back(random_tree_edge(*tree, rng));
+      Stopwatch sw;
+      for (const EdgeId e : victims) {
+        const Edge ends = g.endpoints(e);
+        server.apply_update(g, GraphDelta::remove(e));
+        server.apply_update(g, GraphDelta::insert(ends.u, ends.v));
       }
-
-      std::vector<double> all;
-      for (auto& l : lat) all.insert(all.end(), l.begin(), l.end());
-      std::sort(all.begin(), all.end());
-      if (!all.empty()) {
-        r.m.p50_us = all[all.size() / 2];
-        r.m.p99_us = all[std::min(all.size() - 1, all.size() * 99 / 100)];
-      }
-      r.m.qps = static_cast<double>(all.size()) / (r.m.wall_ms / 1e3);
+      r.apply_ms = sw.millis();
       r.cstats = server.cache()->stats();
       r.sstats = server.stats();
-      dump_metrics(sinks, server, "serve_large", family, threads, mode);
+      out.dump(server.metrics(), "serve_large", family, threads, mode);
       return r;
     };
 
     runs.push_back(run_mode(mem, "compact"));
-    runs.push_back(run_mode(mapped, "compact_mmap"));
+    // Without a loaded file the mode degrades to the in-memory graph
+    // (mmap=0 in the row) but still measures.
+    runs.push_back(run_mode(mapped ? *mapped : mem, "compact_mmap"));
   }
 
   // Answer audit, outside every timing window: every sampled answer of
@@ -1682,34 +1396,24 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
   }
 
   for (const LargeRun& r : runs) {
-    // Independent spot check through the scheme's own query API.
-    size_t checked = 0, correct = 0;
-    for (size_t i = 0; i < r.samples.size(); i += 8) {
-      ++checked;
-      if (r.samples[i].second == reference_answer(ref, r.samples[i].first))
-        ++correct;
-    }
+    // Independent spot check of every 8th sample through the scheme's own
+    // query API.
+    std::vector<std::pair<Query, int32_t>> spot;
+    for (size_t i = 0; i < r.samples.size(); i += 8)
+      spot.push_back(r.samples[i]);
+    const Check check = verify(spot, matches(ref));
     const double bytes_per_tree =
         static_cast<double>(r.cstats.bytes) /
         static_cast<double>(std::max<size_t>(1, r.cstats.entries));
-    large_table.add_row(family, mem.num_vertices(), r.threads, r.mode, r.m.qps,
-                        r.cstats.hit_rate(),
-                        static_cast<uint64_t>(r.cstats.entries), bytes_per_tree,
-                        load_ms, mmapped ? "yes" : "no");
-    json.row()
-        .field("bench", "serve_large")
-        .field("family", family)
-        .field("n", static_cast<uint64_t>(mem.num_vertices()))
-        .field("m", static_cast<uint64_t>(mem.num_edges()))
-        .field("threads", r.threads)
-        .field("driver_threads", r.ts.drivers)
-        .field("engine_threads", r.ts.engine)
-        .field("mode", r.mode)
-        .field("metrics", metrics_build())
-        .field("seed", opt.seed)
-        .field("queries", static_cast<uint64_t>(lq))
-        .field("hot_roots", static_cast<uint64_t>(hot))
-        .field("budget_bytes", static_cast<uint64_t>(budget))
+    table.add_row(family, mem.num_vertices(), r.threads, r.mode, r.m.qps,
+                  r.cstats.hit_rate(), static_cast<uint64_t>(r.cstats.entries),
+                  bytes_per_tree, load_ms, mmapped ? "yes" : "no");
+    out.row("serve_large", family, mem, r.threads, r.mode, check)
+        .field("driver_threads", split_threads(r.threads).drivers)
+        .field("engine_threads", split_threads(r.threads).engine)
+        .field("queries", lq)
+        .field("hot_roots", hot)
+        .field("budget_bytes", budget)
         .field("gen_ms", gen_ms)
         .field("pack_ms", pack_ms)
         .field("load_ms", load_ms)
@@ -1719,69 +1423,48 @@ void bench_large(Table& large_table, JsonRows& json, const Options& opt,
         .field("p50_us", r.m.p50_us)
         .field("p99_us", r.m.p99_us)
         .field("hit_rate", r.cstats.hit_rate())
-        .field("trees_resident", static_cast<uint64_t>(r.cstats.entries))
-        .field("cache_bytes", static_cast<uint64_t>(r.cstats.bytes))
+        .field("trees_resident", r.cstats.entries)
+        .field("cache_bytes", r.cstats.bytes)
         .field("bytes_per_tree", bytes_per_tree)
-        .field("fat_bytes_per_tree", static_cast<uint64_t>(probe_bytes))
+        .field("fat_bytes_per_tree", probe_bytes)
         .field("evictions", r.cstats.evictions)
-        .field("flaps", static_cast<uint64_t>(large_flaps))
+        .field("flaps", large_flaps)
         .field("apply_ms", r.apply_ms)
         .field("repair_ms", static_cast<double>(r.sstats.repair_ns) / 1e6)
         .field("repaired", r.sstats.repaired)
         .field("recomputed", r.sstats.recomputed)
-        .field("samples", static_cast<uint64_t>(r.samples.size()))
-        .field("samples_match", r.samples_match)
-        .field("checked", static_cast<uint64_t>(checked))
-        .field("correct", static_cast<uint64_t>(correct))
-        .field("hw_threads",
-               static_cast<uint64_t>(std::thread::hardware_concurrency()));
+        .field("samples", r.samples.size())
+        .field("samples_match", r.samples_match);
   }
 }
 
-// Sharded-serving scenario (bench=serve_sharded rows): the three-layer
-// stack -- ShardRouter (consistent hashing on (scheme_id, root)), the
-// group-by-shard front-end (one serve_batch per touched shard), and the
-// OracleShard fleet -- swept over shards {1, 2, 4} with the global cache
-// budget split evenly across shards. The workload is cross-shard-heavy by
-// construction: 6/8 of queries are tree_batch fan-outs over kShardFanout
-// roots drawn uniformly from the whole vertex set (at 4 shards nearly every
-// query touches every shard), 1/8 point distances and 1/8 replacement
-// distances off the hot set. A naive front-end would issue one submission
-// per routed sub-query; the rows record how far below that the
-// group-by-shard rule runs.
-//
-// Judged signals, asserted by CI on the --small artifact:
-//   (a) the deterministic sample stream is bit-identical across ALL three
-//       configs at a thread count (reference: shards=1) -- sharding
-//       repartitions work, it never changes answers;
-//   (b) the front-end batches below one submission per routed sub-query
-//       and at most half of them (>= 2x fewer than one per sub-query);
-//   (c) a churn phase flaps a hot tree edge through the front-end's
-//       epoch-coherent fan-out, and every sampled answer of every phase
-//       matches a from-scratch rebuild of that phase's topology.
-// Thread accounting: --threads T is the total footprint, split by
-// split_threads into closed-loop drivers + a shared engine.
+// serve_sharded: the three-layer stack -- ShardRouter (consistent hashing
+// on (scheme_id, root)), the group-by-shard front-end (one serve_batch per
+// touched shard), and the OracleShard fleet -- swept over shards {1, 2, 4}
+// with the global cache budget split evenly across shards. The workload is
+// cross-shard-heavy by construction: 6/8 of queries are tree_batch
+// fan-outs over kShardFanout roots drawn uniformly from the whole vertex
+// set (at 4 shards nearly every query touches every shard), 1/8 point
+// distances and 1/8 replacement distances off the hot set. A naive
+// front-end would issue one submission per routed sub-query; the rows
+// record how far below that the group-by-shard rule runs. Sharding
+// repartitions work, never answers: every config's sample stream must equal
+// the shards=1 stream, including the churn phases that flap a hot tree edge
+// through the front-end's epoch-coherent fan-out. Thread accounting:
+// --threads T is the total footprint (split_threads).
 constexpr size_t kShardFanout = 16;  // roots per tree_batch fan-out query
 
-void bench_sharded(Table& sharded_table, JsonRows& json, const Options& opt,
-                   const ObsSinks& sinks, const std::string& family,
-                   const Graph& g0) {
+void bench_sharded(Table& table, const Options& opt, const Report& out,
+                   const std::string& family, const Graph& g0) {
   struct SQuery {
     enum Kind { kFanoutQ, kDistanceQ, kReplacementQ } kind;
     std::array<Vertex, kShardFanout> roots;
     Vertex s, t;
     EdgeId e;
   };
-  struct Sample {
-    uint64_t phase, seq, digest;
-  };
 
-  std::vector<Vertex> hot_roots;
-  for (size_t i = 0; i < opt.hot; ++i)
-    hot_roots.push_back(static_cast<Vertex>(
-        (static_cast<uint64_t>(i) * g0.num_vertices()) / opt.hot));
-
-  auto make_squery = [&](uint64_t seq) {
+  const std::vector<Vertex> hot_roots = spread_roots(g0, opt.hot);
+  auto make = [&](uint64_t seq) {
     const uint64_t h = hash_combine(hash_combine(0x54a2d, opt.seed), seq);
     SQuery q;
     const uint64_t kind = hash_combine(h, 3) % 8;
@@ -1841,13 +1524,8 @@ void bench_sharded(Table& sharded_table, JsonRows& json, const Options& opt,
   // off the pristine scheme, a hot tree's parent edge) keeps the sample
   // streams comparable and guarantees each flap invalidates cached trees.
   const IsolationRpts full_ref(g0, IsolationAtw(7));
-  EdgeId victim;
-  {
-    const auto vtree = full_ref.spt(hot_roots[0]);
-    const auto pool = parented_vertices(vtree);
-    Rng rng(hash_combine(opt.seed, 0x54a2d));
-    victim = vtree.parent_edge(pool[rng.next_below(pool.size())]);
-  }
+  Rng rng(hash_combine(opt.seed, 0x54a2d));
+  const EdgeId victim = random_tree_edge(full_ref.spt(hot_roots[0]), rng);
   const Edge ends = g0.endpoints(victim);
   Graph removed_g = g0;
   {
@@ -1867,7 +1545,7 @@ void bench_sharded(Table& sharded_table, JsonRows& json, const Options& opt,
     const BatchSsspEngine engine(ts.engine);
     // Digest stream of the shards=1 config: the reference every other
     // config must match element-wise. Sample order is deterministic (phases
-    // sequential, per-worker vectors merged in worker order), so positional
+    // sequential, per-worker samples merged in worker order), so positional
     // comparison is exact.
     std::vector<uint64_t> ref_digests;
     for (const size_t shards_n : {size_t{1}, size_t{2}, size_t{4}}) {
@@ -1875,118 +1553,70 @@ void bench_sharded(Table& sharded_table, JsonRows& json, const Options& opt,
       const IsolationRpts pi(g, IsolationAtw(7));
       FrontEndConfig fc;
       fc.num_shards = shards_n;
-      fc.shard.cache.shards = opt.shards;
-      fc.shard.cache.byte_budget = (opt.budget_mb << 20) / shards_n;
-      fc.shard.max_batch = opt.max_batch;
-      fc.shard.engine = &engine;
-      fc.tracer = sinks.tracer;
+      fc.shard = out.config(engine);
+      fc.shard.cache.byte_budget /= shards_n;
+      fc.tracer = out.tracer;
       ShardAggregator fe(pi, fc);
-
-      std::vector<Sample> samples;
-      std::vector<double> steady_lat;
-      double steady_wall_ms = 0;
-      auto run_phase = [&](uint64_t phase_tag, size_t nq, bool steady) {
-        const size_t per_thread =
-            std::max<size_t>(1, nq / static_cast<size_t>(ts.drivers));
-        std::vector<std::vector<double>> lat(ts.drivers);
-        std::vector<std::vector<Sample>> sm(ts.drivers);
-        Stopwatch wall;
-        std::vector<std::thread> workers;
-        workers.reserve(ts.drivers);
-        for (int w = 0; w < ts.drivers; ++w) {
-          workers.emplace_back([&, w, phase_tag, per_thread] {
-            lat[w].reserve(per_thread);
-            for (size_t i = 0; i < per_thread; ++i) {
-              const uint64_t seq =
-                  (phase_tag * static_cast<uint64_t>(ts.drivers) +
-                   static_cast<uint64_t>(w)) *
-                      per_thread +
-                  i;
-              const SQuery q = make_squery(seq);
-              Stopwatch sw;
-              const uint64_t got = run_squery(fe, q);
-              lat[w].push_back(sw.micros());
-              if (i % 4 == 0) sm[w].push_back({phase_tag, seq, got});
-            }
-          });
-        }
-        for (auto& t : workers) t.join();
-        const double wall_ms = wall.millis();
-        for (auto& s : sm) samples.insert(samples.end(), s.begin(), s.end());
-        if (steady) {
-          steady_wall_ms = wall_ms;
-          for (auto& l : lat)
-            steady_lat.insert(steady_lat.end(), l.begin(), l.end());
-        }
-      };
+      auto ask = [&](const SQuery& q) { return run_squery(fe, q); };
 
       // Phase 0: steady state on the pristine topology (the timed
       // window). Then sflaps churn phases, each after one edge flap
-      // applied through the epoch-coherent fan-out.
-      run_phase(0, sq, true);
+      // applied through the epoch-coherent fan-out. Phase p odd = victim
+      // removed, even = healed back to pristine; every phase's samples are
+      // audited outside the timing windows.
+      auto phase_run = [&](uint64_t phase, size_t nq) {
+        const size_t per_thread =
+            std::max<size_t>(1, nq / static_cast<size_t>(ts.drivers));
+        return run_closed_loop(ts.drivers, per_thread, make, ask, 4, phase);
+      };
+      std::vector<uint64_t> digests;
+      Check check;
+      auto audit = [&](const auto& run, uint64_t phase) {
+        const IRpts& ref = phase % 2 == 1 ? removed_ref : full_ref;
+        check += verify(run.samples, [&](const SQuery& q, uint64_t got) {
+          return got == ref_squery(ref, q);
+        });
+        for (const auto& s : run.samples) digests.push_back(s.second);
+      };
+      const auto steady = phase_run(0, sq);
+      audit(steady, 0);
       uint64_t carried = 0, invalidated = 0, prewarmed = 0, repaired = 0;
       for (size_t f = 0; f < sflaps; ++f) {
         const UpdateResult ur =
-            f % 2 == 0 ? fe.apply_update(g, GraphDelta::remove(victim))
-                       : fe.apply_update(g, GraphDelta::insert(ends.u,
-                                                               ends.v));
+            f % 2 == 0
+                ? fe.apply_update(g, GraphDelta::remove(victim))
+                : fe.apply_update(g, GraphDelta::insert(ends.u, ends.v));
         carried += ur.carried;
         invalidated += ur.invalidated;
         prewarmed += ur.prewarmed;
         repaired += ur.repaired;
-        run_phase(f + 1, cq, false);
+        audit(phase_run(f + 1, cq), f + 1);
       }
 
-      // Audits, outside every timing window. Phase p odd = victim
-      // removed, even = healed back to pristine.
-      size_t checked = 0, correct = 0;
-      for (const Sample& s : samples) {
-        ++checked;
-        const IRpts& ref = s.phase % 2 == 1 ? removed_ref : full_ref;
-        if (s.digest == ref_squery(ref, make_squery(s.seq))) ++correct;
-      }
+      if (ref_digests.empty()) ref_digests = digests;
       uint64_t match = 0;
-      if (ref_digests.empty()) {
-        for (const Sample& s : samples) ref_digests.push_back(s.digest);
-        match = samples.size();
-      } else if (ref_digests.size() == samples.size()) {
-        for (size_t i = 0; i < samples.size(); ++i)
-          if (samples[i].digest == ref_digests[i]) ++match;
-      }
+      if (ref_digests.size() == digests.size())
+        for (size_t i = 0; i < digests.size(); ++i)
+          match += digests[i] == ref_digests[i];
 
       const FrontEndStats fs = fe.stats();
-      Measurement m;
-      m.wall_ms = steady_wall_ms;
-      std::sort(steady_lat.begin(), steady_lat.end());
-      m.p50_us = steady_lat[steady_lat.size() / 2];
-      m.p99_us = steady_lat[std::min(steady_lat.size() - 1,
-                                     steady_lat.size() * 99 / 100)];
-      m.qps = static_cast<double>(steady_lat.size()) / (m.wall_ms / 1e3);
+      const Measurement m = measure(steady);
       const double subs_per_subq =
-          fs.subqueries > 0
-              ? static_cast<double>(fs.submissions) /
-                    static_cast<double>(fs.subqueries)
-              : 0;
+          fs.subqueries > 0 ? static_cast<double>(fs.submissions) /
+                                  static_cast<double>(fs.subqueries)
+                            : 0;
       const std::string mode = "shards" + std::to_string(shards_n);
-      dump_registry(sinks, fe.metrics(), "serve_sharded", family, threads,
-                    mode);
-      sharded_table.add_row(
-          family, threads, static_cast<uint64_t>(shards_n), m.qps, fs.subqueries, fs.submissions,
-          subs_per_subq, fs.remote_hits,
-          match == samples.size() && correct == checked ? "yes" : "NO");
-      json.row()
-          .field("bench", "serve_sharded")
-          .field("family", family)
-          .field("n", static_cast<uint64_t>(g0.num_vertices()))
-          .field("m", static_cast<uint64_t>(g0.num_edges()))
-          .field("threads", threads)
+      out.dump(fe.metrics(), "serve_sharded", family, threads, mode);
+      table.add_row(
+          family, threads, static_cast<uint64_t>(shards_n), m.qps,
+          fs.subqueries, fs.submissions, subs_per_subq, fs.remote_hits,
+          match == digests.size() && check.correct == check.checked ? "yes"
+                                                                    : "NO");
+      out.row("serve_sharded", family, g0, threads, mode, check)
           .field("driver_threads", ts.drivers)
           .field("engine_threads", ts.engine)
-          .field("shards", static_cast<uint64_t>(shards_n))
-          .field("mode", mode)
-          .field("metrics", metrics_build())
-          .field("seed", opt.seed)
-          .field("fanout_k", static_cast<uint64_t>(kShardFanout))
+          .field("shards", shards_n)
+          .field("fanout_k", kShardFanout)
           .field("queries", fs.queries)
           .field("subqueries", fs.subqueries)
           .field("submissions", fs.submissions)
@@ -1998,17 +1628,13 @@ void bench_sharded(Table& sharded_table, JsonRows& json, const Options& opt,
           .field("qps", m.qps)
           .field("p50_us", m.p50_us)
           .field("p99_us", m.p99_us)
-          .field("flaps", static_cast<uint64_t>(sflaps))
+          .field("flaps", sflaps)
           .field("carried", carried)
           .field("invalidated", invalidated)
           .field("prewarmed", prewarmed)
           .field("repaired", repaired)
-          .field("samples", static_cast<uint64_t>(samples.size()))
-          .field("samples_match", match)
-          .field("checked", static_cast<uint64_t>(checked))
-          .field("correct", static_cast<uint64_t>(correct))
-          .field("hw_threads",
-                 static_cast<uint64_t>(std::thread::hardware_concurrency()));
+          .field("samples", digests.size())
+          .field("samples_match", match);
     }
   }
 }
@@ -2034,9 +1660,9 @@ int run(const Options& opt) {
                    "carried_frac", "hit_rate", "max_excess", "in_bound"});
   Table large_table({"family", "n", "threads", "mode", "qps", "hit_rate",
                      "trees", "bytes_per_tree", "load_ms", "mmap"});
-  Table sharded_table({"family", "threads", "shards", "qps",
-                       "subqueries", "submissions", "subs_per_subq",
-                       "remote_hits", "answers_ok"});
+  Table sharded_table({"family", "threads", "shards", "qps", "subqueries",
+                       "submissions", "subs_per_subq", "remote_hits",
+                       "answers_ok"});
   JsonRows json;
 
   // Observability sinks. The tracer (1-in-256 sampling) is shared by every
@@ -2054,9 +1680,9 @@ int run(const Options& opt) {
     }
     tracer.emplace(&trace_out);
   }
-  ObsSinks sinks;
-  if (!opt.metrics_path.empty()) sinks.metrics = &metrics_json;
-  if (tracer) sinks.tracer = &*tracer;
+  Report out{opt, json};
+  if (!opt.metrics_path.empty()) out.metrics = &metrics_json;
+  if (tracer) out.tracer = &*tracer;
 
   const Graph g400 = gnp_connected(400, 16.0 / 400, 1234);
   if (!opt.graph_file.empty()) {
@@ -2075,28 +1701,28 @@ int run(const Options& opt) {
         slash == std::string::npos ? opt.graph_file
                                    : opt.graph_file.substr(slash + 1);
     if (file_graph.num_vertices() <= 10000) {
-      bench_family(table, json, opt, sinks, family, file_graph);
+      bench_family(table, opt, out, family, file_graph);
     } else {
       std::cout << "--graph-file n=" << file_graph.num_vertices()
                 << " skips the per-fetch-recompute baseline; see the "
                    "serve_large rows.\n";
     }
   } else {
-    bench_family(table, json, opt, sinks, "gnp(400)", g400);
+    bench_family(table, opt, out, "gnp(400)", g400);
     if (!opt.small) {
-      bench_family(table, json, opt, sinks, "gnp(2000)",
+      bench_family(table, opt, out, "gnp(2000)",
                    gnp_connected(2000, 8.0 / 2000, 1236));
-      bench_family(table, json, opt, sinks, "cliquechain(20,20)",
+      bench_family(table, opt, out, "cliquechain(20,20)",
                    clique_chain(20, 20));
     }
   }
-  bench_fault_scan(scan_table, json, opt, sinks, "gnp(400)", g400);
-  bench_churn(churn_table, json, opt, sinks, "gnp(400)", g400);
-  bench_burst(burst_table, json, opt, sinks, "gnp(400)", g400);
-  bench_churn_rcu(rcu_table, json, opt, sinks, "gnp(400)", g400);
-  bench_epsilon(eps_table, json, opt, sinks, "gnp(400)", g400);
-  bench_sharded(sharded_table, json, opt, sinks, "gnp(400)", g400);
-  bench_large(large_table, json, opt, sinks);
+  bench_fault_scan(scan_table, opt, out, "gnp(400)", g400);
+  bench_churn(churn_table, opt, out, "gnp(400)", g400);
+  bench_burst(burst_table, opt, out, "gnp(400)", g400);
+  bench_churn_rcu(rcu_table, opt, out, "gnp(400)", g400);
+  bench_epsilon(eps_table, opt, out, "gnp(400)", g400);
+  bench_sharded(sharded_table, opt, out, "gnp(400)", g400);
+  bench_large(large_table, opt, out);
 
   table.print();
   std::cout << "\nFault-scan admission scenario (small budget, sweeping "
@@ -2112,7 +1738,9 @@ int run(const Options& opt) {
             << " removals + heal, seed " << opt.seed
             << "; single = one apply_update per delta, burst = ONE "
                "apply_updates batch\n-- one cache walk, one epoch bump, one "
-               "incremental-repair engine batch for the whole burst):\n";
+               "incremental-repair engine batch for the whole burst; median "
+               "of "
+            << kTrials << " trials):\n";
   burst_table.print();
   std::cout << "\nEpoch-pinned (RCU) scenario: the same workload quiet vs "
                "under a background mutator flapping one hot edge;\nmode rcu "
@@ -2122,10 +1750,13 @@ int run(const Options& opt) {
                "of one of the two live topologies:\n";
   rcu_table.print();
   std::cout << "\nApproximate-tier scenario: the same churn-heavy schedule "
-               "served exact (epsilon 0) vs approximate (--epsilon);\n"
-               "qps_sustained bills query AND update walls, max_excess = "
-               "worst sampled (approx - exact) / exact,\nin_bound = every "
-               "sampled answer within the (1+eps)^d * d stretch contract:\n";
+               "served exact (epsilon 0) vs approximate (--epsilon), median "
+               "of "
+            << kTrials
+            << " trials;\nqps_sustained bills query AND update walls, "
+               "max_excess = worst sampled (approx - exact) / exact,\n"
+               "in_bound = every sampled answer within the (1+eps)^d * d "
+               "stretch contract:\n";
   eps_table.print();
   std::cout << "\nSharded-serving scenario: root-partitioned OracleShard "
                "fleet behind the group-by-shard front-end (one serve_batch\n"

@@ -151,7 +151,8 @@ RepairOutcome IRpts::repair_tree_eps(const Spt& old_tree,
                                      const DeltaBatch& batch,
                                      const FaultSet& faults,
                                      double max_affected_fraction,
-                                     uint32_t eps_q) const {
+                                     uint32_t eps_q,
+                                     const BatchSsspEngine* engine) const {
   const Graph& g = graph();
   const Vertex n = g.num_vertices();
 
@@ -161,7 +162,7 @@ RepairOutcome IRpts::repair_tree_eps(const Spt& old_tree,
     // feasibility), so this is always a valid approximate tree.
     const SsspRequest req{old_tree.root, faults, old_tree.dir};
     RepairOutcome out;
-    out.tree = *spt_batch(std::span<const SsspRequest>(&req, 1))[0];
+    out.tree = *spt_batch(std::span<const SsspRequest>(&req, 1), engine)[0];
     out.touched = n;
     return out;
   };
@@ -328,7 +329,8 @@ RepairOutcome IRpts::repair_tree_eps(const Spt& old_tree,
 
 RepairOutcome IRpts::repair_tree(const Spt& old_tree, const DeltaBatch& batch,
                                  const FaultSet& faults,
-                                 double /*max_affected_fraction*/) const {
+                                 double /*max_affected_fraction*/,
+                                 const BatchSsspEngine* /*engine*/) const {
   // No exact tie arithmetic at this level: a from-scratch recompute is the
   // only way to reproduce the scheme's tree bit-identically.
   if (batch_survives(batch, old_tree, faults))

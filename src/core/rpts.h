@@ -153,11 +153,13 @@ class IRpts {
   // always recomputes (repaired = false); Rpts<Policy> overrides it with
   // Ramalingam-Reps-style incremental repair, falling back to the full
   // recompute when the affected region exceeds `max_affected_fraction` of
-  // the vertex count.
-  virtual RepairOutcome repair_tree(const Spt& old_tree,
-                                    const DeltaBatch& batch,
-                                    const FaultSet& faults,
-                                    double max_affected_fraction) const;
+  // the vertex count. Rpts<Policy> runs that recompute on `engine`
+  // (nullptr = the shared engine), so it shows in the counters of the
+  // engine the caller serves on.
+  virtual RepairOutcome repair_tree(
+      const Spt& old_tree, const DeltaBatch& batch, const FaultSet& faults,
+      double max_affected_fraction,
+      const BatchSsspEngine* engine = nullptr) const;
   RepairOutcome repair_tree(const Spt& old_tree,
                             const DeltaBatch& batch) const {
     return repair_tree(old_tree, batch, FaultSet{}, kDefaultRepairFraction);
@@ -209,14 +211,14 @@ class IRpts {
   // decrease-cascade); net inserts then cascade with the relaxed
   // (1+eps) improvement test, which only re-labels vertices whose label
   // breaks F. Past `max_affected_fraction` the repair falls back to a full
-  // exact recompute on the engine (repaired = false) -- exact trees satisfy
-  // F trivially. NOT bit-identical to a fresh compute (see SptKey::eps_q);
-  // the result is within the stretch bound, which is the approximate tier's
-  // whole contract.
+  // exact recompute on `engine` (repaired = false; nullptr = the shared
+  // engine) -- exact trees satisfy F trivially. NOT bit-identical to a
+  // fresh compute (see SptKey::eps_q); the result is within the stretch
+  // bound, which is the approximate tier's whole contract.
   RepairOutcome repair_tree_eps(const Spt& old_tree, const DeltaBatch& batch,
                                 const FaultSet& faults,
-                                double max_affected_fraction,
-                                uint32_t eps_q) const;
+                                double max_affected_fraction, uint32_t eps_q,
+                                const BatchSsspEngine* engine = nullptr) const;
 
   // The roots among `base_trees` (fault-free trees of this scheme, e.g. the
   // cached hot set) whose tiebroken SPT can actually change under `delta`
@@ -378,23 +380,23 @@ class Rpts final : public IRpts {
   // unique, so the repaired tree is bit-identical to a recompute -- asserted
   // by the repair fuzz tests across all three ATW policies.
   using IRpts::repair_tree;
-  RepairOutcome repair_tree(const Spt& old_tree, const DeltaBatch& batch,
-                            const FaultSet& faults,
-                            double max_affected_fraction) const override {
+  RepairOutcome repair_tree(
+      const Spt& old_tree, const DeltaBatch& batch, const FaultSet& faults,
+      double max_affected_fraction,
+      const BatchSsspEngine* engine = nullptr) const override {
     using Tie = typename Policy::Tie;
     const Graph& g = *g_;
     const Vertex n = g.num_vertices();
     const Direction dir = old_tree.dir;
     const Vertex root = old_tree.root;
 
-    // Recompute fallback on the engine's exact path (bit-identical to
-    // spt(), without its per-call heap and mark allocations).
+    // Recompute fallback: one request on the engine (bit-identical to
+    // spt(), on the engine's reused workspace, and counted by it).
     auto full = [&] {
-      DijkstraResult<Policy> fresh;
-      tiebroken_sssp_into(g, policy_, root, faults, dir,
-                          thread_workspace<Policy>(), fresh);
+      const SsspRequest req{root, faults, dir};
       RepairOutcome out;
-      out.tree = std::move(fresh.spt);
+      out.tree = std::move(BatchSsspEngine::or_shared(engine).run_batch_spt(
+          g, policy_, std::span<const SsspRequest>(&req, 1))[0]);
       out.touched = n;
       return out;
     };

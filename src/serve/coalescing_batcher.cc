@@ -1,8 +1,6 @@
 #include "serve/coalescing_batcher.h"
 
 #include <algorithm>
-#include <cstddef>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -75,18 +73,7 @@ void CoalescingBatcher::flush_loop() {
         flushing_ = false;
         return;
       }
-      // Bounded drain (max_batch_ > 0): take the oldest keys up to the cap,
-      // leave the rest queued for the next iteration (their waiters stay
-      // parked on their in-flight entries, so nothing is lost -- latency is
-      // just paid in installments instead of one unbounded batch).
-      const size_t take = max_batch_ > 0
-                              ? std::min(max_batch_, pending_.size())
-                              : pending_.size();
-      batch.assign(std::make_move_iterator(pending_.begin()),
-                   std::make_move_iterator(pending_.begin() +
-                                           static_cast<ptrdiff_t>(take)));
-      pending_.erase(pending_.begin(),
-                     pending_.begin() + static_cast<ptrdiff_t>(take));
+      batch.swap(pending_);
       flushes_.fetch_add(1, std::memory_order_relaxed);
       computed_.fetch_add(batch.size(), std::memory_order_relaxed);
       if (batch.size() > largest_batch_.load(std::memory_order_relaxed))

@@ -12,9 +12,7 @@
 //
 // Flush policy (leader-drains): a miss enqueues its key and, if no flush is
 // running, the calling thread becomes the leader. The leader repeatedly
-// swaps out the pending queue -- bounded by `max_batch` when set, so a
-// single flush cannot balloon under overload and queued followers get
-// results in bounded installments -- and executes it as one
+// swaps out the whole pending queue and executes it as one
 // IRpts::spt_batch call until the queue stays empty, then steps down --
 // so misses arriving while a batch computes accumulate and form the next
 // batch (natural batching under load, zero added latency when idle).
@@ -27,7 +25,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -95,13 +92,9 @@ class CoalescingBatcher {
 
   // `cache` may be null: the batcher then still deduplicates concurrent
   // requests (single-flight) but retains nothing across quiescence.
-  // `max_batch` caps how many pending keys one flush drains (0 =
-  // unbounded): under overload the leader issues bounded engine batches,
-  // keeping per-flush latency bounded while the queue drains in order.
   explicit CoalescingBatcher(SptCache* cache,
-                             const BatchSsspEngine* engine = nullptr,
-                             size_t max_batch = 0)
-      : cache_(cache), engine_(engine), max_batch_(max_batch) {}
+                             const BatchSsspEngine* engine = nullptr)
+      : cache_(cache), engine_(engine) {}
 
   CoalescingBatcher(const CoalescingBatcher&) = delete;
   CoalescingBatcher& operator=(const CoalescingBatcher&) = delete;
@@ -178,14 +171,11 @@ class CoalescingBatcher {
 
   SptCache* cache_;
   const BatchSsspEngine* engine_;
-  const size_t max_batch_;  // 0 = drain everything per flush
 
   mutable std::mutex mu_;
   std::unordered_map<SptKey, std::shared_ptr<InFlight>, SptKeyHash> inflight_;
-  // Not-yet-flushed misses; a deque so the bounded drain pops prefixes in
-  // O(taken), not O(remaining) -- the remainder must not be shifted under
-  // mu_ while enrolling callers wait.
-  std::deque<Pending> pending_;
+  // Not-yet-flushed misses; the leader swaps the whole vector out per flush.
+  std::vector<Pending> pending_;
   bool flushing_ = false;
   // Flush-shape telemetry. The high-water mark is mutated only under mu_
   // (enroll already holds it); the batch-size histogram is the shared

@@ -83,8 +83,8 @@ OracleShard::OracleShard(const IRpts& pi, ServerConfig config)
   if (config_.enable_cache)
     cache_ = std::make_unique<SptCache>(config_.cache);
   if (config_.enable_coalescing)
-    batcher_ = std::make_unique<CoalescingBatcher>(
-        cache_.get(), config_.engine, config_.max_batch);
+    batcher_ =
+        std::make_unique<CoalescingBatcher>(cache_.get(), config_.engine);
   metrics_ = config_.metrics;
   if (!metrics_) {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
@@ -580,9 +580,10 @@ void OracleShard::repair_invalidated(
     outcomes[i] =
         inv.key.eps_q
             ? pi_->repair_tree_eps(*inv.old_tree, batch, inv.key.fault_set(),
-                                   kDefaultRepairFraction, inv.key.eps_q)
+                                   kDefaultRepairFraction, inv.key.eps_q,
+                                   &eng)
             : pi_->repair_tree(*inv.old_tree, batch, inv.key.fault_set(),
-                               kDefaultRepairFraction);
+                               kDefaultRepairFraction, &eng);
   });
   for (size_t i = 0; i < invalidated.size(); ++i) {
     // Publication point: compact before wrapping (never behind a handle).

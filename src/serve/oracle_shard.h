@@ -116,7 +116,6 @@ struct ServerConfig {
   SptCache::Config cache;           // shards + budget + protected fraction
   bool enable_cache = true;         // false: recompute every fetch
   bool enable_coalescing = true;    // false: no single-flight (baseline)
-  size_t max_batch = 0;             // cap per-flush drain (0 = unbounded)
   // Approximate tier default: distance queries that do not specify their own
   // QueryOpts::epsilon are served from (1+epsilon)-stretch trees (fresh
   // ones are exact; epsilon relaxes survival and repair under updates;

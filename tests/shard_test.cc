@@ -179,26 +179,74 @@ TEST(CompactRepair, PatchedImageBitIdenticalToRoundTrip) {
   }
 }
 
-// A removal that detaches more than the affected-region limit sends the
-// epsilon repair to its fallback: an exact recompute on the engine, which
-// yields the reference tree.
+// A removal that detaches more than the affected-region limit sends a
+// repair to its fallback: an exact recompute on the engine the caller
+// passes, which yields the reference tree and shows in that engine's
+// counters. Cycle(40) from root 0: vertex 1 hangs off the root, and about
+// half the cycle hangs off it.
+struct FallbackCase {
+  Graph g = cycle(40);
+  const IsolationRpts pi{g, IsolationAtw(21)};
+  const uint32_t eps_q = quantize_epsilon(0.25);
+  const Spt old_tree = pi.spt(0);
+  DeltaBatch batch;
+
+  FallbackCase() {
+    const GraphDelta d = GraphDelta::remove(old_tree.parent_edge(1));
+    batch = g.apply(std::span<const GraphDelta>(&d, 1));
+  }
+};
+
 TEST(CompactRepair, EpsRepairFallbackIsTheExactTree) {
+  FallbackCase c;
+  ASSERT_TRUE(c.batch.changed());
+  // Limit max(8, 0.1 * 40) = 8 detached vertices: the recompute is one
+  // request on the private engine.
+  const BatchSsspEngine engine(1);
+  const RepairOutcome out =
+      c.pi.repair_tree_eps(c.old_tree, c.batch, {}, 0.1, c.eps_q, &engine);
+  EXPECT_FALSE(out.repaired);
+  EXPECT_EQ(engine.stats().requests, 1u);
+  expect_same_tree(out.tree, c.pi.spt(0));
+}
+
+TEST(CompactRepair, ExactRepairFallbackRunsOnTheEngine) {
+  FallbackCase c;
+  ASSERT_TRUE(c.batch.changed());
+  const BatchSsspEngine engine(1);
+  const RepairOutcome out =
+      c.pi.repair_tree(c.old_tree, c.batch, {}, 0.1, &engine);
+  EXPECT_FALSE(out.repaired);
+  EXPECT_EQ(engine.stats().requests, 1u);
+  expect_same_tree(out.tree, c.pi.spt(0));
+}
+
+// The same two fallbacks reached through a shard's update path: both run on
+// the shard's configured engine, so its `engine` metrics component counts
+// them.
+TEST(CompactRepair, ShardEngineCountsBothRepairFallbacks) {
   Graph g = cycle(40);
   const IsolationRpts pi(g, IsolationAtw(21));
-  const SsspRequest req{0, {}, Direction::kOut, quantize_epsilon(0.25)};
-  const Spt old_tree = *pi.spt_batch(std::span<const SsspRequest>(&req, 1))[0];
-  // Vertex 1 hangs off the root, and about half the cycle hangs off it.
-  const GraphDelta d = GraphDelta::remove(old_tree.parent_edge(1));
-  const DeltaBatch batch = g.apply(std::span<const GraphDelta>(&d, 1));
-  ASSERT_TRUE(batch.changed());
-  // Limit max(8, 0.1 * 40) = 8 detached vertices. The recompute is one
-  // request on the shared engine.
-  const uint64_t runs = BatchSsspEngine::shared().stats().requests;
-  const RepairOutcome out =
-      pi.repair_tree_eps(old_tree, batch, {}, 0.1, req.eps_q);
-  EXPECT_FALSE(out.repaired);
-  EXPECT_EQ(BatchSsspEngine::shared().stats().requests, runs + 1);
-  expect_same_tree(out.tree, pi.spt(0));
+  const BatchSsspEngine engine(1);
+  ServerConfig cfg;
+  cfg.engine = &engine;
+  OracleShard shard(pi, cfg);
+  const SsspRequest exact{0, {}, Direction::kOut};
+  const SsspRequest approx{0, {}, Direction::kOut, quantize_epsilon(0.25)};
+  const EdgeId victim = shard.tree(exact)->parent_edge(1);
+  shard.tree(approx);
+
+  const double before = shard.metrics().snapshot().value_or("engine",
+                                                            "requests");
+  // Default limit max(8, 0.25 * 40) = 10 < the ~20 detached vertices.
+  const UpdateResult res = shard.apply_update(g, GraphDelta::remove(victim));
+  ASSERT_EQ(res.invalidated, 2u);
+  EXPECT_EQ(res.prewarmed, 2u);
+  EXPECT_EQ(res.repaired, 0u);
+  const double after = shard.metrics().snapshot().value_or("engine",
+                                                           "requests");
+  EXPECT_EQ(after - before, 2.0);
+  expect_same_tree(*shard.tree(exact), pi.spt(0));
 }
 
 // A fat repair input (no compact image to reuse) must be left fat: the fast
