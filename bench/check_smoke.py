@@ -17,6 +17,10 @@ import argparse
 import json
 import os
 
+# Interleaved trials behind every timing gate of serve_bench (its kTrials):
+# the serve and serve_eps gates read the median of this many runs per mode.
+TRIALS = 5
+
 
 def check_smoke(d):
     def path(name):
@@ -43,6 +47,13 @@ def check_smoke(d):
         # serve_burst rows report apply/recovery latency, not qps.
         if "qps" in r:
             assert r["qps"] > 0, f"zero-qps row (bench broken?): {r}"
+    for r in serve:
+        if r["bench"] in ("serve", "serve_eps"):
+            trials = r["qps_trials"].split(",")
+            assert len(trials) == TRIALS, \
+                f"qps is not the median of {TRIALS} trials: {r}"
+    # speedup_vs_off is the ratio of the two modes' median qps (qps_trials
+    # holds each mode's interleaved trials); cache_off recomputes every tree.
     on = [r for r in serve if r["mode"] == "cache_on"]
     assert on, "missing cache_on rows"
     for r in on:

@@ -390,9 +390,9 @@ EdgeId random_tree_edge(const Spt& tree, Rng& rng) {
 }
 
 // Trial count of the scenarios whose CI gate compares two timings
-// (serve_eps, serve_burst): the modes run interleaved this many times and
-// the gate reads the medians.
-constexpr size_t kTrials = 3;
+// (serve, serve_eps, serve_burst): the modes run interleaved this many times
+// and the gate reads the medians.
+constexpr size_t kTrials = 5;
 
 // Index of the median of kTrials values.
 size_t median_index(const std::vector<double>& v) {
@@ -475,99 +475,189 @@ auto matches(const IRpts& ref) {
 // ---------------------------------------------------------------------------
 // serve: cache-off (every fetch computes a fresh tree on the engine, no
 // coalescing -- what every query cost before src/serve/ existed) versus the
-// serving stack (sharded cache + single-flight batcher), same stream.
+// serving stack (sharded cache + single-flight batcher), same stream. Both
+// modes run kTrials times interleaved; qps is the median trial's, every
+// other field but the checks (all trials) is that trial's too.
+
+// The cache-off baseline as an ask(): each tree fetch is one spt_batch call
+// on `engine`, with nothing cached or coalesced. It answers the four Query
+// kinds exactly as OracleServer does -- replacement queries take the same
+// stability fast path -- and counts the bytes of every tree it builds.
+class Recompute {
+ public:
+  Recompute(const IRpts& pi, const BatchSsspEngine& engine)
+      : pi_(pi), engine_(engine) {}
+
+  int32_t operator()(const Query& q) {
+    queries_.fetch_add(1, std::memory_order_relaxed);
+    switch (q.kind) {
+      case Query::kDistance:
+        return fetch(q.s, {})->hops(q.t);
+      case Query::kFaultDistance:
+        return fetch(q.s, FaultSet{q.e})->hops(q.t);
+      case Query::kReplacement: {
+        const SptHandle base = fetch(q.s, {});
+        if (!base->reachable(q.t)) return kUnreachable;
+        if (!base->path_uses_edge(q.t, q.e)) return base->hops(q.t);
+        return fetch(q.s, FaultSet{q.e})->hops(q.t);
+      }
+      case Query::kPath:
+        return static_cast<int32_t>(fetch(q.s, {})->path_to(q.t).length());
+    }
+    return kUnreachable;
+  }
+
+  // Bytes of tree materialized per query answered.
+  double bytes_per_query() const {
+    return static_cast<double>(bytes_.load(std::memory_order_relaxed)) /
+           static_cast<double>(
+               std::max<uint64_t>(1, queries_.load(std::memory_order_relaxed)));
+  }
+
+ private:
+  SptHandle fetch(Vertex root, FaultSet faults) {
+    const SsspRequest req{root, std::move(faults), Direction::kOut};
+    SptHandle tree =
+        pi_.spt_batch(std::span<const SsspRequest>(&req, 1), &engine_)[0];
+    bytes_.fetch_add(tree->memory_bytes(), std::memory_order_relaxed);
+    return tree;
+  }
+
+  const IRpts& pi_;
+  const BatchSsspEngine& engine_;
+  std::atomic<uint64_t> queries_{0};
+  std::atomic<uint64_t> bytes_{0};
+};
+
 void bench_family(Table& table, const Options& opt, const Report& out,
                   const std::string& family, const Graph& g) {
   const IsolationRpts pi(g, IsolationAtw(7));
   const std::vector<Vertex> hot_roots = spread_roots(g, opt.hot);
   const auto make = mixed_queries(g, hot_roots, opt.seed);
 
+  // One trial of one mode: the measurement, its sample check and, for
+  // cache_on, the serving stack's counters read after the window closed.
+  struct ServeRun {
+    Measurement m;
+    Check check;
+    double bytes_per_query = 0;
+    SptCache::Stats cache;
+    CoalescingBatcher::Stats batch;
+    ServerStats sstats;
+    uint64_t stability_fast_paths = 0;
+  };
+
   for (int threads : opt.threads) {
     const BatchSsspEngine engine(threads);
     const size_t per_thread = opt.queries / threads;
-    ServerConfig off_cfg;
-    off_cfg.enable_cache = false;
-    off_cfg.enable_coalescing = false;
-    off_cfg.engine = &engine;
-    OracleServer off(pi, off_cfg);
-    const auto roff =
-        run_closed_loop(threads, per_thread, make, asker(off), 64);
-    OracleServer on(pi, out.config(engine));
-    const auto ron = run_closed_loop(threads, per_thread, make, asker(on), 64);
-    out.dump(off.metrics(), "serve", family, threads, "cache_off");
-    out.dump(on.metrics(), "serve", family, threads, "cache_on");
-
-    const Measurement moff = measure(roff), mon = measure(ron);
-    const auto cache_stats = on.cache()->stats();
-    const auto batch_stats = on.batcher()->stats();
-    // Outcome classes + latency decomposition from ONE registry snapshot;
-    // per-class splits and histograms live in the --metrics-out document.
-    const ServerStats sstats = on.stats();
-    const double speedup = mon.qps / moff.qps;
-    // Bytes of tree freshly materialized per query: it collapses on
-    // repeated roots, where hits alias the resident tree zero-copy.
-    auto bytes_per_query = [](const OracleServer& s) {
-      return static_cast<double>(s.bytes_materialized()) /
-             static_cast<double>(std::max<uint64_t>(1, s.queries_served()));
+    auto run_off = [&] {
+      Recompute off(pi, engine);
+      const auto run = run_closed_loop(
+          threads, per_thread, make,
+          [&off](const Query& q) { return off(q); }, 64);
+      ServeRun r;
+      r.m = measure(run);
+      r.check = verify(run.samples, matches(pi));
+      r.bytes_per_query = off.bytes_per_query();
+      return r;
     };
+    auto run_on = [&](bool last_trial) {
+      OracleServer on(pi, out.config(engine));
+      const auto run =
+          run_closed_loop(threads, per_thread, make, asker(on), 64);
+      if (last_trial)
+        out.dump(on.metrics(), "serve", family, threads, "cache_on");
+      ServeRun r;
+      r.m = measure(run);
+      r.check = verify(run.samples, matches(pi));
+      // Bytes of tree freshly materialized per query: it collapses on
+      // repeated roots, where hits alias the resident tree zero-copy.
+      r.bytes_per_query =
+          static_cast<double>(on.bytes_materialized()) /
+          static_cast<double>(std::max<uint64_t>(1, on.queries_served()));
+      r.cache = on.cache()->stats();
+      r.batch = on.batcher()->stats();
+      // Outcome classes + latency decomposition from ONE registry snapshot;
+      // per-class splits and histograms live in the --metrics-out document.
+      r.sstats = on.stats();
+      r.stability_fast_paths = on.stability_fast_paths();
+      return r;
+    };
+
+    std::array<std::vector<ServeRun>, 2> trials;
+    for (size_t t = 0; t < kTrials; ++t) {
+      trials[0].push_back(run_off());
+      trials[1].push_back(run_on(t + 1 == kTrials));
+    }
+    std::array<std::vector<double>, 2> qps;
+    std::array<Check, 2> check;
+    for (const bool on : {false, true})
+      for (const ServeRun& r : trials[on]) {
+        qps[on].push_back(r.m.qps);
+        check[on] += r.check;
+      }
+    const ServeRun& off = trials[0][median_index(qps[0])];
+    const ServeRun& on = trials[1][median_index(qps[1])];
+    const double speedup = on.m.qps / off.m.qps;
     const std::vector<double> hist(
-        batch_stats.batch_hist,
-        batch_stats.batch_hist + CoalescingBatcher::kHistBuckets);
+        on.batch.batch_hist,
+        on.batch.batch_hist + CoalescingBatcher::kHistBuckets);
 
     table.add_row(family, g.num_vertices(), g.num_edges(), threads, "off",
-                  moff.qps, moff.p50_us, moff.p99_us, 0.0, 1.0);
+                  off.m.qps, off.m.p50_us, off.m.p99_us, 0.0, 1.0);
     table.add_row(family, g.num_vertices(), g.num_edges(), threads, "on",
-                  mon.qps, mon.p50_us, mon.p99_us, cache_stats.hit_rate(),
+                  on.m.qps, on.m.p50_us, on.m.p99_us, on.cache.hit_rate(),
                   speedup);
 
-    auto row = [&](const char* mode, const Measurement& m, const auto& run,
-                   const IRpts& ref) -> JsonRows& {
-      const Check check = verify(run.samples, matches(ref));
-      return out.row("serve", family, g, threads, mode, check)
+    auto row = [&](const char* mode, bool is_on) -> JsonRows& {
+      const ServeRun& r = is_on ? on : off;
+      return out.row("serve", family, g, threads, mode, check[is_on])
           .field("shards", opt.shards)
           .field("budget_mb", opt.budget_mb)
           .field("hot_roots", hot_roots.size())
           .field("queries", opt.queries)
-          .field("qps", m.qps)
-          .field("p50_us", m.p50_us)
-          .field("p99_us", m.p99_us);
+          .field("qps", r.m.qps)
+          .field("qps_trials", join(qps[is_on], "%.1f"))
+          .field("p50_us", r.m.p50_us)
+          .field("p99_us", r.m.p99_us);
     };
-    row("cache_off", moff, roff, pi)
+    row("cache_off", false)
         .field("hit_rate", 0.0)
         .field("speedup_vs_off", 1.0)
-        .field("bytes_per_query", bytes_per_query(off));
-    row("cache_on", mon, ron, pi)
-        .field("hit_rate", cache_stats.hit_rate())
-        .field("base_hit_rate", cache_stats.base_hit_rate())
+        .field("bytes_per_query", off.bytes_per_query);
+    row("cache_on", true)
+        .field("hit_rate", on.cache.hit_rate())
+        .field("base_hit_rate", on.cache.base_hit_rate())
         .field("speedup_vs_off", speedup)
-        .field("bytes_per_query", bytes_per_query(on))
-        .field("cache_hits", cache_stats.hits)
-        .field("cache_misses", cache_stats.misses)
-        .field("cache_entries", cache_stats.entries)
-        .field("cache_bytes", cache_stats.bytes)
-        .field("cache_sum_shard_peak_bytes", cache_stats.sum_shard_peak_bytes)
-        .field("protected_bytes", cache_stats.protected_bytes)
-        .field("protected_entries", cache_stats.protected_entries)
-        .field("evictions", cache_stats.evictions)
-        .field("coalesced", batch_stats.coalesced)
-        .field("computed", batch_stats.computed)
-        .field("computed_bytes", batch_stats.computed_bytes)
-        .field("flushes", batch_stats.flushes)
-        .field("max_batch", batch_stats.max_batch)
-        .field("max_queue_depth", batch_stats.max_queue_depth)
+        .field("bytes_per_query", on.bytes_per_query)
+        .field("cache_hits", on.cache.hits)
+        .field("cache_misses", on.cache.misses)
+        .field("cache_entries", on.cache.entries)
+        .field("cache_bytes", on.cache.bytes)
+        .field("cache_sum_shard_peak_bytes", on.cache.sum_shard_peak_bytes)
+        .field("protected_bytes", on.cache.protected_bytes)
+        .field("protected_entries", on.cache.protected_entries)
+        .field("evictions", on.cache.evictions)
+        .field("coalesced", on.batch.coalesced)
+        .field("computed", on.batch.computed)
+        .field("computed_bytes", on.batch.computed_bytes)
+        .field("flushes", on.batch.flushes)
+        .field("max_batch", on.batch.max_batch)
+        .field("max_queue_depth", on.batch.max_queue_depth)
         .field("batch_hist", join(hist, "%.0f"))
-        .field("base_hit", sstats.base_hit)
-        .field("fault_hit", sstats.fault_hit)
-        .field("miss_coalesced", sstats.miss_coalesced)
-        .field("miss_leader", sstats.miss_leader)
-        .field("queue_wait_ms", static_cast<double>(sstats.queue_wait_ns) / 1e6)
+        .field("base_hit", on.sstats.base_hit)
+        .field("fault_hit", on.sstats.fault_hit)
+        .field("miss_coalesced", on.sstats.miss_coalesced)
+        .field("miss_leader", on.sstats.miss_leader)
+        .field("queue_wait_ms",
+               static_cast<double>(on.sstats.queue_wait_ns) / 1e6)
         .field("coalesce_wait_ms",
-               static_cast<double>(sstats.coalesce_wait_ns) / 1e6)
-        .field("compute_ms", static_cast<double>(sstats.compute_ns) / 1e6)
-        .field("repair_ms", static_cast<double>(sstats.repair_ns) / 1e6)
-        .field("repaired", sstats.repaired)
-        .field("recomputed", sstats.recomputed)
-        .field("stability_fast_paths", on.stability_fast_paths());
+               static_cast<double>(on.sstats.coalesce_wait_ns) / 1e6)
+        .field("compute_ms", static_cast<double>(on.sstats.compute_ns) / 1e6)
+        .field("repair_ms", static_cast<double>(on.sstats.repair_ns) / 1e6)
+        .field("repaired", on.sstats.repaired)
+        .field("recomputed", on.sstats.recomputed)
+        .field("stability_fast_paths", on.stability_fast_paths);
   }
 }
 

@@ -24,9 +24,7 @@ CoalescingBatcher::Enrollment CoalescingBatcher::enroll(
   // single-flight airtight against the lookup/enroll race. peek keeps the
   // caller's earlier counted lookup the only hit/miss sample for this
   // probe.
-  if (cache_) {
-    if ((e.hit = cache_->peek(key))) return e;
-  }
+  if ((e.hit = cache_.peek(key))) return e;
   e.fl = std::make_shared<InFlight>();
   const auto ins = inflight_.emplace(key, e.fl);
   try {
@@ -141,15 +139,14 @@ void CoalescingBatcher::flush_loop() {
           // the waiters share one compact copy (spt_batch already wrapped
           // the tree, so publish_spt goes through compacted()); a tree that
           // cannot compact is admitted as the SAME fat handle.
-          if (cache_) tree = publish_spt(std::move(tree));
+          tree = publish_spt(std::move(tree));
           // Accounted on the handle actually published, AFTER compaction,
-          // so computed_bytes and OracleServer's direct_bytes (which also
-          // compacts first) measure the same storage form.
+          // so computed_bytes and the shard's update-path bytes_direct
+          // (repairs also publish compact) measure the same storage form.
           computed_bytes_.fetch_add(tree->memory_bytes(),
                                     std::memory_order_relaxed);
-          if (cache_)
-            if (auto resident = cache_->insert(batch[i].key, tree))
-              tree = std::move(resident);
+          if (auto resident = cache_.insert(batch[i].key, tree))
+            tree = std::move(resident);
         } catch (...) {
           item_error = std::current_exception();
           tree = nullptr;
@@ -181,12 +178,10 @@ SptHandle CoalescingBatcher::get(const SsspRequest& req,
                                  const GenerationManager::Pin& pin,
                                  FetchObs* obs) {
   const SptKey key(pin->version(), req);
-  if (cache_) {
-    // Hit fast path: shard lock only, no batcher mutex.
-    if (auto tree = cache_->lookup(key)) {
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      return tree;  // obs->outcome stays kHit
-    }
+  // Hit fast path: shard lock only, no batcher mutex.
+  if (auto tree = cache_.lookup(key)) {
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    return tree;  // obs->outcome stays kHit
   }
   Enrollment e = enroll(key, req, pin);
   if (e.hit) return e.hit;  // locked double-check hit: still kHit
@@ -206,11 +201,9 @@ std::vector<SptHandle> CoalescingBatcher::get_batch(
   bool leader = false;
   for (size_t i = 0; i < requests.size(); ++i) {
     const SptKey key(version, requests[i]);
-    if (cache_) {
-      if ((out[i] = cache_->lookup(key))) {
-        requests_.fetch_add(1, std::memory_order_relaxed);
-        continue;  // obs stays kHit
-      }
+    if ((out[i] = cache_.lookup(key))) {
+      requests_.fetch_add(1, std::memory_order_relaxed);
+      continue;  // obs stays kHit
     }
     Enrollment e = enroll(key, requests[i], pin);
     if (e.hit) {

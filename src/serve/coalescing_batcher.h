@@ -17,9 +17,9 @@
 // so misses arriving while a batch computes accumulate and form the next
 // batch (natural batching under load, zero added latency when idle).
 // Followers (callers whose key is already in flight) block on the
-// in-flight entry and reuse its result. With a cache attached, every
-// computed tree is published to it, so a key is computed at most once for
-// the cache's retention window regardless of concurrency.
+// in-flight entry and reuse its result. Every computed tree is published to
+// the cache, so a key is computed at most once for the cache's retention
+// window regardless of concurrency.
 #pragma once
 
 #include <atomic>
@@ -75,9 +75,9 @@ class CoalescingBatcher {
     uint64_t computed = 0;        // trees actually run on the engine
     uint64_t computed_bytes = 0;  // memory_bytes() of those trees in the
                                   // form actually published (compact
-                                  // where it can be, with a cache) -- the
-                                  // bytes-materialized cost of all misses,
-                                  // form-consistent with direct_bytes
+                                  // where it can be) -- the bytes-
+                                  // materialized cost of all misses,
+                                  // form-consistent with bytes_direct
     uint64_t flushes = 0;         // pending-queue drains (one engine batch
                                   // per generation present in the drain;
                                   // almost always one)
@@ -90,9 +90,10 @@ class CoalescingBatcher {
     uint64_t batch_hist_sum = 0;  // sum of recorded flush sizes (== computed)
   };
 
-  // `cache` may be null: the batcher then still deduplicates concurrent
-  // requests (single-flight) but retains nothing across quiescence.
-  explicit CoalescingBatcher(SptCache* cache,
+  // `cache` must outlive the batcher: hits are read from it and every
+  // computed tree is published to it. A zero-budget cache retains nothing,
+  // leaving only the single-flight deduplication of concurrent requests.
+  explicit CoalescingBatcher(SptCache& cache,
                              const BatchSsspEngine* engine = nullptr)
       : cache_(cache), engine_(engine) {}
 
@@ -169,7 +170,7 @@ class CoalescingBatcher {
   void flush_loop();
   static SptHandle await(InFlight& fl, FetchObs* obs);
 
-  SptCache* cache_;
+  SptCache& cache_;
   const BatchSsspEngine* engine_;
 
   mutable std::mutex mu_;

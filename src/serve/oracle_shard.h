@@ -74,8 +74,7 @@ enum class FetchOutcome : uint8_t {
   kBaseHit = 0,     // fault-free EXACT tree served from the cache
   kFaultHit,        // exact fault tree served from the cache
   kMissCoalesced,   // miss that waited on a flight another caller drove
-  kMissLeader,      // miss that drove the compute (batcher leader, or the
-                    // direct compute when coalescing is disabled)
+  kMissLeader,      // miss that drove the compute (the batcher's leader)
   kApproxHit,       // approximate-tier (eps_q > 0) tree served from the
                     // cache (base and fault trees alike)
   kEscalated,       // an EXACT fetch performed on behalf of an escalated
@@ -114,8 +113,6 @@ struct QueryOpts {
 
 struct ServerConfig {
   SptCache::Config cache;           // shards + budget + protected fraction
-  bool enable_cache = true;         // false: recompute every fetch
-  bool enable_coalescing = true;    // false: no single-flight (baseline)
   // Approximate tier default: distance queries that do not specify their own
   // QueryOpts::epsilon are served from (1+epsilon)-stretch trees (fresh
   // ones are exact; epsilon relaxes survival and repair under updates;
@@ -181,9 +178,9 @@ struct ServerStats {
   uint64_t queries = 0;
   uint64_t updates = 0;
   uint64_t stability_fast_paths = 0;
-  // direct_bytes + the batcher's computed_bytes, composed from the SAME
-  // snapshot document -- the torn two-clock read the old accessor pair
-  // allowed cannot happen here.
+  // bytes_direct (update-path repairs) + the batcher's computed_bytes
+  // (query misses), composed from the SAME snapshot document -- the torn
+  // two-clock read the old accessor pair allowed cannot happen here.
   uint64_t bytes_materialized = 0;
   // Query-path outcome classes (counts of tree fetches per class).
   // remote_hit / aggregated are front-end classes: always 0 on a shard's own
@@ -330,8 +327,8 @@ class OracleShard {
   uint64_t stability_fast_paths() const {
     return stability_hits_.load(std::memory_order_relaxed);
   }
-  // Total Spt bytes this server materialized (fresh Dijkstra results,
-  // whether through the batcher or direct computes). Cache hits and
+  // Total Spt bytes this server materialized (fresh trees, whether computed
+  // for batcher misses or repaired on the update path). Cache hits and
   // coalesced waits materialize nothing -- handles alias resident trees --
   // so bytes_materialized / queries_served is the bytes-per-query cost the
   // zero-copy serving stack is judged by. NOTE: composed from two relaxed
@@ -357,8 +354,8 @@ class OracleShard {
   // batcher()->stats() etc. at different times.
   ServerStats stats() const;
 
-  // Null when the respective layer is disabled by config.
-  SptCache* cache() { return cache_ ? cache_.get() : nullptr; }
+  // Never null: every shard has a cache and a batcher.
+  SptCache* cache() { return cache_.get(); }
   const CoalescingBatcher* batcher() const { return batcher_.get(); }
 
   // Never null. Exposed non-const so callers needing several coherent
@@ -388,11 +385,13 @@ class OracleShard {
 
   QueryCtx begin_query(const char* kind);
   void end_query(QueryCtx& ctx);
-  // Classified fetch: fetch_tree on the pinned generation, attributing the
-  // fetch's latency decomposition to its outcome class and appending trace
-  // spans when the query is sampled. `escalated` forces the kEscalated
-  // class: the fetch serves a query that left the approximate tier, so its
-  // cost belongs there whatever its hit/miss fate.
+  // Classified fetch: the batcher's get on the pinned generation (every
+  // read -- version, CSR, Dijkstra -- goes through that generation, never
+  // the live graph), attributing the fetch's latency decomposition to its
+  // outcome class and appending trace spans when the query is sampled.
+  // `escalated` forces the kEscalated class: the fetch serves a query that
+  // left the approximate tier, so its cost belongs there whatever its
+  // hit/miss fate.
   SptHandle fetch_classified(const SsspRequest& req,
                              const GenerationManager::Pin& pin, QueryCtx& ctx,
                              bool escalated = false);
@@ -417,11 +416,6 @@ class OracleShard {
   bool stretch_probe_fires();
   void record_stretch(int32_t exact_hops, int32_t approx_hops);
 
-  // Tree fetch through the serving stack: every read -- version, CSR,
-  // Dijkstra -- goes through the pinned generation; the live graph is never
-  // touched.
-  SptHandle fetch_tree(const SsspRequest& req,
-                       const GenerationManager::Pin& pin, FetchObs* obs);
   // The absorb stage shared by apply_updates and absorb_update: caller holds
   // mutator_mu_ and `res` is UpdateResult::of a changed batch. Advances the
   // cache, publishes the generation built from `snap`, then repairs inline
@@ -444,12 +438,14 @@ class OracleShard {
   // build-publish-retire sequence and the repair batch read the LIVE graph,
   // which is safe exactly because no reader does and no second mutator runs.
   std::mutex mutator_mu_;
-  std::unique_ptr<SptCache> cache_;             // only if enable_cache
-  std::unique_ptr<CoalescingBatcher> batcher_;  // only if enable_coalescing
+  // Never null. Every query fetch goes through the batcher, which reads and
+  // publishes to the cache; the update path walks and refills the cache.
+  const std::unique_ptr<SptCache> cache_;
+  const std::unique_ptr<CoalescingBatcher> batcher_;
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> updates_{0};
   std::atomic<uint64_t> stability_hits_{0};
-  std::atomic<uint64_t> direct_bytes_{0};  // materialized without a batcher
+  std::atomic<uint64_t> direct_bytes_{0};  // materialized by update repairs
 
   // --- Observability (src/obs/). All instruments are wait-free; the
   // registry is only touched at construction and in snapshot().

@@ -270,8 +270,7 @@ TEST(ServerObs, StatsComposesFromOneSnapshot) {
   EXPECT_EQ(s.stability_fast_paths, server.stability_fast_paths());
   if (obs::kEnabled) {
     EXPECT_EQ(s.base_hit + s.fault_hit + s.miss_coalesced + s.miss_leader,
-              static_cast<uint64_t>(
-                  server.batcher() ? server.batcher()->stats().requests : 0));
+              server.batcher()->stats().requests);
     EXPECT_GT(s.compute_ns, 0u);  // the first miss computed something
   }
 }

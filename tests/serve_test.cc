@@ -1,7 +1,8 @@
-// Tests for the serving subsystem (src/serve/): cache-on results must be
-// bit-identical to cache-off at every thread count, the coalescing batcher
-// must give single-flight semantics under concurrent mixed hit/miss load,
-// and the LRU must stay inside tiny byte budgets while staying correct.
+// Tests for the serving subsystem (src/serve/): served results must be
+// bit-identical to the scheme's from-scratch answers at every thread count,
+// the coalescing batcher must give single-flight semantics under concurrent
+// mixed hit/miss load, and the LRU must stay inside tiny byte budgets while
+// staying correct.
 #include "serve/oracle_server.h"
 
 #include <gtest/gtest.h>
@@ -355,7 +356,7 @@ TEST(CoalescingBatcher, SingleFlightUnderConcurrentMixedLoad) {
   const BatchSsspEngine engine(2);
   GenerationManager gens(make_generation(pi));
   const GenerationManager::Pin pin = gens.pin();
-  CoalescingBatcher batcher(&cache, &engine);
+  CoalescingBatcher batcher(cache, &engine);
 
   // Preheat a few keys so the hammer mixes hits and misses.
   const std::vector<Vertex> hot{0, 7, 14};
@@ -445,7 +446,7 @@ TEST(CoalescingBatcher, ComputeExceptionPropagatesAndBatcherSurvives) {
   const BatchSsspEngine engine(1);
   GenerationManager gens(make_generation(pi));
   const GenerationManager::Pin pin = gens.pin();
-  CoalescingBatcher batcher(&cache, &engine);
+  CoalescingBatcher batcher(cache, &engine);
 
   EXPECT_THROW(batcher.get({3, {}, Direction::kOut}, pin), std::runtime_error);
   // The batcher must not be wedged: a healthy key still computes.
@@ -462,7 +463,7 @@ TEST(CoalescingBatcher, GetBatchRidesOneFlush) {
   SptCache cache;
   GenerationManager gens(make_generation(pi));
   const GenerationManager::Pin pin = gens.pin();
-  CoalescingBatcher batcher(&cache);
+  CoalescingBatcher batcher(cache);
 
   std::vector<SsspRequest> reqs;
   for (Vertex root : {1u, 5u, 9u, 5u, 1u})  // in-batch duplicates
@@ -524,19 +525,6 @@ TEST(OracleServer, ReplacementDistanceUsesStabilityFastPath) {
   // On sparse G(n, p) most edges avoid any fixed selected path, so the base
   // tree must have answered most queries.
   EXPECT_GT(server.stability_fast_paths(), server.queries_served() / 2);
-}
-
-TEST(OracleServer, CacheOffModeStaysCorrect) {
-  const Graph g = gnp_connected(30, 0.12, 71);
-  const IsolationRpts pi(g, IsolationAtw(72));
-  ServerConfig off;
-  off.enable_cache = false;
-  off.enable_coalescing = false;
-  OracleServer server(pi, off);
-  EXPECT_EQ(server.cache(), nullptr);
-  for (Vertex s = 0; s < 6; ++s)
-    for (Vertex t = 20; t < 26; ++t)
-      EXPECT_EQ(server.distance(s, t), pi.distance(s, t));
 }
 
 TEST(OracleServer, ConcurrentMixedQueriesAreConsistent) {
@@ -632,17 +620,14 @@ TEST(OracleServer, RejectsOutOfRangeVerticesAtEveryEntryPoint) {
   expect_same_tree(*agg_trees[1], pi.spt(n - 1));
 }
 
-// Regression: the shard's direct-compute path (coalescing off, cache on)
-// published approximate-tier trees fat while their exact twins went compact.
-// Both tiers now publish through publish_spt, so both are stored compact and
-// still answer like the trees they were built from.
-TEST(OracleServer, DirectComputePublishesExactAndApproxTreesCompact) {
+// Every miss publishes through the batcher's publish_spt, for either tier:
+// exact and approximate-tier trees are both stored compact, the resident
+// handle is the one served, and both answer like the trees they were built
+// from.
+TEST(OracleServer, MissesPublishExactAndApproxTreesCompact) {
   const Graph g = gnp_connected(40, 0.12, 93);
   const IsolationRpts pi(g, IsolationAtw(94));
-  ServerConfig cfg;
-  cfg.enable_coalescing = false;
-  OracleServer server(pi, cfg);
-  ASSERT_EQ(server.batcher(), nullptr);
+  OracleServer server(pi);
 
   const SsspRequest exact{3, {}, Direction::kOut};
   const SsspRequest approx{3, {}, Direction::kOut, quantize_epsilon(0.25)};
@@ -659,18 +644,15 @@ TEST(OracleServer, DirectComputePublishesExactAndApproxTreesCompact) {
                    *pi.spt_batch(std::span<const SsspRequest>(&approx, 1))[0]);
 }
 
-// With coalescing off, a miss is computed by one engine run on the
-// configured engine, for either tier, and both tiers' fresh trees are the
-// reference tree.
-TEST(OracleServer, DirectComputeRunsOnTheConfiguredEngine) {
+// A miss is computed by one engine run on the configured engine, for
+// either tier, and both tiers' fresh trees are the reference tree.
+TEST(OracleServer, MissRunsOnceOnTheConfiguredEngine) {
   const Graph g = gnp_connected(60, 0.08, 95);
   const IsolationRpts pi(g, IsolationAtw(96));
   const BatchSsspEngine engine(2);
   ServerConfig cfg;
-  cfg.enable_coalescing = false;
   cfg.engine = &engine;
   OracleServer server(pi, cfg);
-  ASSERT_EQ(server.batcher(), nullptr);
   auto engine_requests = [&] {
     return server.metrics().snapshot().value_or("engine", "requests");
   };
@@ -853,7 +835,7 @@ TEST(CoalescingBatcher, NullTreeFailsOnlyThatFlight) {
   const BatchSsspEngine engine(2);
   GenerationManager gens(make_generation(pi));
   const GenerationManager::Pin pin = gens.pin();
-  CoalescingBatcher batcher(&cache, &engine);
+  CoalescingBatcher batcher(cache, &engine);
 
   // The poisoned key throws a real exception instead of crashing...
   EXPECT_THROW(batcher.get({13, {}, Direction::kOut}, pin), std::runtime_error);

@@ -2,9 +2,10 @@
 // shard_aggregator.h): consistent-hash stability under fleet growth,
 // bit-identical answers at every shard count, exact per-shard submission
 // counts from the group-by-shard rule,
-// epoch-coherent update fan-out with pinned readers surviving it, and the
+// epoch-coherent update fan-out with pinned readers surviving it, the
 // compact-aware repair fast path staying bit-identical to the
-// thaw-repair-compact round-trip it replaces.
+// thaw-repair-compact round-trip it replaces, and a zero-budget cache that
+// retains nothing while every shard still answers.
 #include "serve/shard_aggregator.h"
 
 #include <gtest/gtest.h>
@@ -509,6 +510,129 @@ TEST(ShardAggregator, FleetReportsIntoOneRegistry) {
   // The per-shard split sums to the front-end's sub-query count.
   const FrontEndStats s = fe.stats();
   EXPECT_EQ(s.remote_hits + s.aggregated, s.subqueries);
+}
+
+// ---------------------------------------------------------------------------
+// A zero byte budget: the cache retains nothing and the shard still answers.
+
+// Two rounds of kThreads threads of mixed distance / fault distance /
+// replacement_distance / path / batch calls against `fe`, with one
+// apply_updates removing a base-tree edge in between. `batch` issues one
+// multi-root tree fetch on `fe`. Every answer must equal `pi`'s from-scratch
+// answer on the topology its round ran on. Returns the update's result.
+template <typename FrontEnd, typename Batch>
+UpdateResult expect_zero_budget_rounds(Graph& g, const IRpts& pi,
+                                       FrontEnd& fe, Batch batch) {
+  constexpr int kThreads = 8, kIters = 15;
+  const std::vector<SsspRequest> reqs{{0, {}, Direction::kOut},
+                                      {9, {}, Direction::kOut},
+                                      {17, {}, Direction::kOut},
+                                      {9, {}, Direction::kOut}};
+  struct Query {
+    Vertex s, t;
+    EdgeId e;
+  };
+  auto query = [&](int w, int i) {
+    return Query{static_cast<Vertex>((w * 5 + i * 3) % g.num_vertices()),
+                 static_cast<Vertex>((w * 11 + i * 7 + 1) % g.num_vertices()),
+                 static_cast<EdgeId>((w + i * 13) % g.num_edges())};
+  };
+  auto round = [&] {
+    // From-scratch answers, computed before any serving thread starts.
+    std::vector<int32_t> want(kThreads * kIters);
+    std::vector<Path> want_path(kThreads * kIters);
+    for (int w = 0; w < kThreads; ++w)
+      for (int i = 0; i < kIters; ++i) {
+        const Query q = query(w, i);
+        const size_t k = static_cast<size_t>(w * kIters + i);
+        want[k] = i % 5 == 0 ? pi.distance(q.s, q.t)
+                             : pi.distance(q.s, q.t, FaultSet{q.e});
+        want_path[k] = pi.path(q.s, q.t);
+      }
+    std::vector<Spt> want_trees;
+    for (const SsspRequest& r : reqs) want_trees.push_back(pi.spt(r.root));
+
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kThreads; ++w)
+      workers.emplace_back([&, w] {
+        for (int i = 0; i < kIters; ++i) {
+          const Query q = query(w, i);
+          const size_t k = static_cast<size_t>(w * kIters + i);
+          bool ok = true;
+          switch (i % 5) {
+            case 0:
+              ok = fe.distance(q.s, q.t) == want[k];
+              break;
+            case 1:
+              ok = fe.distance(q.s, q.t, FaultSet{q.e}) == want[k];
+              break;
+            case 2:
+              ok = fe.replacement_distance(q.s, q.t, q.e) == want[k];
+              break;
+            case 3:
+              ok = fe.path(q.s, q.t) == want_path[k];
+              break;
+            default: {
+              const std::vector<SptHandle> trees = batch(reqs);
+              for (size_t j = 0; ok && j < reqs.size(); ++j)
+                for (Vertex v = 0; ok && v < g.num_vertices(); ++v)
+                  ok = trees[j]->hops(v) == want_trees[j].hops(v) &&
+                       trees[j]->parent(v) == want_trees[j].parent(v);
+            }
+          }
+          if (!ok) mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    for (auto& th : workers) th.join();
+    EXPECT_EQ(mismatches.load(), 0);
+  };
+
+  round();
+  const Spt base = pi.spt(0);
+  Vertex x = 1;
+  while (base.parent_edge(x) == kNoEdge) ++x;
+  const GraphDelta cut = GraphDelta::remove(base.parent_edge(x));
+  const UpdateResult res =
+      fe.apply_updates(g, std::span<const GraphDelta>(&cut, 1));
+  EXPECT_TRUE(res.changed);
+  round();
+  return res;
+}
+
+TEST(OracleShard, ZeroBudgetRetainsNothingAndStillAnswers) {
+  Graph g = gnp_connected(40, 0.1, 67);
+  const IsolationRpts pi(g, IsolationAtw(68));
+  const BatchSsspEngine engine(2);
+  ServerConfig cfg;
+  cfg.engine = &engine;
+  cfg.cache.byte_budget = 0;
+  OracleShard shard(pi, cfg);
+  const UpdateResult res = expect_zero_budget_rounds(
+      g, pi, shard, [&](std::span<const SsspRequest> reqs) {
+        return shard.serve_batch(reqs, shard.pin_generation());
+      });
+  EXPECT_EQ(res.prewarmed, 0u);
+  EXPECT_EQ(shard.cache()->stats().entries, 0u);
+  EXPECT_GT(shard.batcher()->stats().computed, 0u);
+}
+
+TEST(ShardAggregator, ZeroBudgetRetainsNothingAndStillAnswers) {
+  Graph g = gnp_connected(40, 0.1, 67);
+  const IsolationRpts pi(g, IsolationAtw(68));
+  const BatchSsspEngine engine(2);
+  FrontEndConfig fc = small_config(2, &engine);
+  fc.shard.cache.byte_budget = 0;
+  ShardAggregator fe(pi, fc);
+  const UpdateResult res = expect_zero_budget_rounds(
+      g, pi, fe, [&](std::span<const SsspRequest> reqs) {
+        return fe.tree_batch(reqs);
+      });
+  EXPECT_EQ(res.prewarmed, 0u);
+  for (size_t k = 0; k < fe.num_shards(); ++k) {
+    EXPECT_EQ(fe.shard(k).cache()->stats().entries, 0u) << "shard " << k;
+    EXPECT_GT(fe.shard(k).batcher()->stats().computed, 0u) << "shard " << k;
+  }
 }
 
 }  // namespace
